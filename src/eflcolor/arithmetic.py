@@ -17,12 +17,13 @@ ordering and fail for another.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Collection, Hashable, Iterable, Sequence
 
 from .errors import (
     BudgetExceededError,
     EvenLengthError,
     OddCardinalityError,
+    TheoremViolationError,
 )
 from .model import CliqueDecomposition, validate_decomposition
 
@@ -232,13 +233,80 @@ def element_options(vertices: Iterable[int], n: int) -> tuple[ElementCertificate
     return tuple(options)
 
 
+def _distinct_representatives(
+    candidates: Sequence[Sequence[int]], blocked: Collection[int] = ()
+) -> list[int] | None:
+    """One member per list, no two alike and none blocked, or None.
+
+    This is the distinct-centrals question: a bipartite matching between the
+    lists and the vertices that covers every list (Hall's theorem). Kuhn's
+    augmenting-path method answers it in polynomial time: each list in turn
+    takes a free candidate, or frees a taken one by moving its holder along
+    an alternating path.
+    """
+    holder: dict[int, int] = {}
+
+    def claim(i: int, visited: set[int]) -> bool:
+        for c in candidates[i]:
+            if c in visited or c in blocked:
+                continue
+            visited.add(c)
+            j = holder.get(c)
+            if j is None or claim(j, visited):
+                holder[c] = i
+                return True
+        return False
+
+    if not all(claim(i, set()) for i in range(len(candidates))):
+        return None
+    chosen = [0] * len(candidates)
+    for c, i in holder.items():
+        chosen[i] = c
+    return chosen
+
+
+def _first_distinct_representatives(
+    candidates: Sequence[Sequence[int]],
+) -> list[int] | None:
+    """The first distinct choice, one member per list, in list order, or None.
+
+    "First" is the order of a backtracker that tries each list's members in
+    their order: every list takes its first member that is still unused and
+    leaves the later lists distinct members. The matching decides that
+    exactly, so no choice is ever undone. The matching is kept while the
+    choices agree with it and recomputed only when one does not.
+    """
+    match = _distinct_representatives(candidates)
+    if match is None:
+        return None
+    # Invariant: match[pos:] gives the undecided lists distinct members
+    # outside ``used``.
+    used: set[int] = set()
+    for pos, members in enumerate(candidates):
+        for c in members:
+            if c in used:
+                continue
+            used.add(c)
+            if c != match[pos]:
+                rest = _distinct_representatives(candidates[pos + 1 :], used)
+                if rest is None:
+                    used.discard(c)
+                    continue
+                match[pos:] = [c, *rest]
+            break
+    return match
+
+
 def find_certificate(d: CliqueDecomposition) -> ArithmeticCertificate | None:
     """Pick one option per element so that all centrals are pairwise distinct.
 
     Even-order elements carry no central, so any option serves; the first in
-    canonical order is taken. Odd-order elements are assigned by backtracking,
-    fewest options first, trying options in canonical order, which makes the
-    result deterministic. Returns None iff no selection exists.
+    canonical order is taken. Odd-order elements are decided fewest options
+    first, each taking its first option in canonical order whose central is
+    unused and still leaves the remaining odd elements distinct centrals. A
+    bipartite matching decides that lookahead exactly, so this is the first
+    solution a backtracker in the same order would reach, found without
+    backtracking. Returns None iff no selection exists.
     """
     per_element: list[tuple[ElementCertificate, ...]] = []
     for elem in d.elements:
@@ -247,34 +315,17 @@ def find_certificate(d: CliqueDecomposition) -> ArithmeticCertificate | None:
             return None
         per_element.append(options)
 
-    chosen: list[ElementCertificate | None] = [None] * len(d.elements)
     odd_indices = [i for i, e in enumerate(d.elements) if e.order % 2 == 1]
     odd_indices.sort(key=lambda i: (len(per_element[i]), i))
-
-    used: set[int] = set()
-
-    def assign(pos: int) -> bool:
-        if pos == len(odd_indices):
-            return True
-        idx = odd_indices[pos]
-        for option in per_element[idx]:
-            central = option.central
-            if central in used:
-                continue
-            used.add(central)
-            chosen[idx] = option
-            if assign(pos + 1):
-                return True
-            used.discard(central)
-            chosen[idx] = None
-        return False
-
-    if not assign(0):
+    picks = _first_distinct_representatives(
+        [[option.central for option in per_element[i]] for i in odd_indices]
+    )
+    if picks is None:
         return None
-    for i, elem in enumerate(d.elements):
-        if chosen[i] is None:
-            chosen[i] = per_element[i][0]
-    return ArithmeticCertificate(tuple(chosen))  # type: ignore[arg-type]
+    chosen = [options[0] for options in per_element]
+    for idx, central in zip(odd_indices, picks):
+        chosen[idx] = next(o for o in per_element[idx] if o.central == central)
+    return ArithmeticCertificate(tuple(chosen))
 
 
 def check_certificate(d: CliqueDecomposition, cert: ArithmeticCertificate) -> bool:
@@ -335,6 +386,15 @@ def search_labeling(
     all centrals by t, preserving distinctness. Exhaustive up to that
     reduction, so None means no labeling exists.
 
+    One search asks for the same few hundred label sets tens of thousands of
+    times, so it keeps an index from a label set's bitmask (bit x set for
+    label x) to its options and, for odd sets, its candidate centrals in
+    canonical order without repeats. An entry is built by ``element_options``
+    the first time its set completes and lives as long as the call. The
+    centrals test is one bipartite matching of the completed odd elements to
+    their candidates, run whenever an odd element completes; an even element
+    adds no central and cannot change its answer.
+
     ``unit_symmetry`` additionally restricts the second assigned vertex to
     one label per orbit of the unit group (multiplying all labels by a unit
     u fixes 0, rescales every step, and maps centrals bijectively, so some
@@ -372,37 +432,30 @@ def search_labeling(
 
     assignment: dict[int, int] = {}
     used_labels = [False] * n
-    element_opts: dict[int, tuple[ElementCertificate, ...]] = {}
+    # label-set bitmask -> (options, candidate centrals of an odd set)
+    index: dict[int, tuple[tuple[ElementCertificate, ...], tuple[int, ...]]] = {}
+    odd_centrals: list[tuple[int, ...]] = []  # one entry per completed odd element
     nodes = 0
 
-    def centrals_feasible(ready: list[int]) -> bool:
-        """Can the fully-labeled odd elements get distinct centrals?"""
-        odd = [
-            ei
-            for ei in ready
-            if len(indexed[ei]) % 2 == 1 and ei in element_opts
-        ]
-        odd.sort(key=lambda ei: (len(element_opts[ei]), ei))
-        taken: set[int] = set()
-
-        def pick(pos: int) -> bool:
-            if pos == len(odd):
-                return True
-            for option in element_opts[odd[pos]]:
-                c = option.central
-                if c in taken:
-                    continue
-                taken.add(c)
-                if pick(pos + 1):
-                    return True
-                taken.discard(c)
-            return False
-
-        return pick(0)
+    def lookup(elem: list[int]):
+        labels = [assignment[u] for u in elem]
+        mask = 0
+        for x in labels:
+            mask |= 1 << x
+        entry = index.get(mask)
+        if entry is None:
+            options = element_options(labels, n)
+            centrals = (
+                tuple(dict.fromkeys(o.central for o in options))
+                if len(elem) % 2 == 1
+                else ()
+            )
+            entry = index[mask] = (options, centrals)
+        return entry
 
     unit_reps = {d for d in range(1, n) if n % d == 0} if unit_symmetry else None
 
-    def extend(depth: int, ready: list[int]) -> bool:
+    def extend(depth: int) -> bool:
         nonlocal nodes
         if depth == n:
             return True
@@ -420,37 +473,36 @@ def search_labeling(
             assignment[v] = lab
             used_labels[lab] = True
             ok = True
-            newly = completed_at[depth]
-            for ei in newly:
-                opts = element_options(
-                    [assignment[u] for u in indexed[ei]], n
-                )
-                if not opts:
+            added = 0
+            for ei in completed_at[depth]:
+                options, centrals = lookup(indexed[ei])
+                if not options:
                     ok = False
                     break
-                element_opts[ei] = opts
-            if ok and newly:
-                ready.extend(newly)
-                ok = centrals_feasible(ready)
-            if ok and extend(depth + 1, ready):
+                if centrals:
+                    odd_centrals.append(centrals)
+                    added += 1
+            if ok and added:
+                ok = _distinct_representatives(odd_centrals) is not None
+            if ok and extend(depth + 1):
                 return True
-            for ei in newly:
-                element_opts.pop(ei, None)
-                if ei in ready:
-                    ready.remove(ei)
+            del odd_centrals[len(odd_centrals) - added :]
             used_labels[lab] = False
             del assignment[v]
         return False
 
-    if extend(0, []):
-        labeling = Labeling(tuple((order[v], assignment[v]) for v in range(n)))
-        relabeled = validate_decomposition(
-            n, [[assignment[v] for v in elem] for elem in indexed]
+    if not extend(0):
+        return None
+    labeling = Labeling(tuple((order[v], assignment[v]) for v in range(n)))
+    relabeled = validate_decomposition(
+        n, [[assignment[v] for v in elem] for elem in indexed]
+    )
+    cert = find_certificate(relabeled)
+    if cert is None:
+        raise TheoremViolationError(
+            (), "labeling search accepted a labeling that has no certificate"
         )
-        cert = find_certificate(relabeled)
-        assert cert is not None, "feasibility pruning accepted an uncertifiable leaf"
-        return labeling, cert
-    return None
+    return labeling, cert
 
 
 def apply_labeling(

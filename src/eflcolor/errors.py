@@ -69,16 +69,20 @@ class EdgeBecomesEmptyError(Exception):
 
 
 class TheoremViolationError(Exception):
-    """A certified coloring failed verification.
+    """A certified result failed verification.
 
     This is never expected; it signals either an implementation bug or a
-    corrupted certificate, and carries the full conflict list for diagnosis.
+    corrupted certificate. For an improper coloring it carries the full
+    conflict list for diagnosis; other failures pass no conflicts and say
+    what went wrong in ``message``.
     """
 
-    def __init__(self, conflicts):
+    def __init__(self, conflicts, message: str | None = None):
         self.conflicts = tuple(conflicts)
         super().__init__(
-            f"certified coloring is improper: {len(self.conflicts)} conflicting pairs"
+            message
+            or f"certified coloring is improper: {len(self.conflicts)}"
+            " conflicting pairs"
         )
 
 

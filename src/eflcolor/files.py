@@ -68,6 +68,9 @@ def parse_instance(text: str) -> CliqueDecomposition:
             if len(tokens) != 2:
                 raise ParseError(lineno, 1, "header must be exactly 'n <int>'")
             n = _int_token(tokens[1], lineno, raw, "order")
+            if n < 2:
+                column = raw.find(tokens[1]) + 1
+                raise ParseError(lineno, column, f"order must be at least 2, got {n}")
         elif keyword == "element":
             if n is None:
                 raise ParseError(lineno, 1, "element before the 'n <int>' header")

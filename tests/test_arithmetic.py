@@ -1,6 +1,7 @@
 """k-arithmetic detection, certificates, and the labeling search."""
 
-from itertools import permutations
+import random
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +20,15 @@ from eflcolor import (
     element_options,
     find_certificate,
     fixture,
+    random_decomposition,
     search_labeling,
     split_orderings,
     trivial_edges,
     validate_decomposition,
+)
+from eflcolor.arithmetic import (
+    _distinct_representatives,
+    _first_distinct_representatives,
 )
 from eflcolor.oracle import exhaustive_labeling_oracle
 
@@ -304,3 +310,140 @@ class TestSearchLabeling:
                     assert check_certificate(
                         apply_labeling(n, abstract, labeling), cert
                     )
+
+
+def permuted_random(n, seed):
+    """random_decomposition(n, seed) over opaque ids, its labels shuffled."""
+    d = random_decomposition(n, seed)
+    perm = list(range(n))
+    random.Random(n * 1000 + seed).shuffle(perm)
+    return [tuple(f"v{perm[v]}" for v in e.vertices) for e in d.elements]
+
+
+def entry_signature(entry):
+    """kind, step and start(s) of one certificate entry, e.g. 'sp1:0,3'."""
+    if entry.kind == "single":
+        return f"si{entry.step}:{entry.progression.start}"
+    return f"sp{entry.step}:{entry.first.start},{entry.second.start}"
+
+
+# Labelings (label of v0, v1, ...), certificate entries and the node count
+# of the successful search, as the plain backtracking search returned them.
+PINNED_SEARCHES = {
+    (8, 1): (
+        [1, 6, 3, 5, 7, 4, 0, 2],
+        "si1:0 si1:3 sp1:1,3 sp1:1,4 sp1:1,5 sp1:1,6 sp1:1,7 si1:2 sp1:2,4"
+        " sp1:2,5 sp1:2,6 sp1:2,7",
+        8,
+    ),
+    (9, 2): (
+        [3, 5, 1, 4, 8, 6, 0, 2, 7],
+        "sp1:0,3 si1:4 si1:0 si4:3 si2:1 si1:3 sp1:3,6 sp1:3,8 sp1:1,7 sp1:1,4"
+        " sp1:1,6 sp1:1,8 sp1:2,4 sp1:2,5 sp1:2,6 sp1:2,8",
+        6925,
+    ),
+    (10, 2): (
+        [3, 7, 5, 8, 6, 4, 9, 1, 0, 2],
+        "si1:0 sp1:0,2 si1:3 si1:1 sp1:1,4 sp1:1,5 sp1:1,6 sp1:1,7 sp1:1,8"
+        " sp1:1,9 sp1:2,4 sp1:2,5 sp1:2,6 sp1:2,7 sp1:2,8 sp1:2,9",
+        2381,
+    ),
+    (11, 0): (
+        [10, 2, 6, 5, 8, 0, 3, 4, 9, 1, 7],
+        "si1:4 si1:0 sp1:1,4 sp1:2,4 si1:3 sp1:1,5 sp1:1,6 sp1:1,7 sp1:1,8"
+        " sp1:1,9 sp1:1,10 sp1:2,5 sp1:3,5 sp1:2,6 sp1:2,7 sp1:2,8 sp1:2,9"
+        " sp1:2,10 sp1:3,6 sp1:3,7 sp1:3,8 sp1:3,9 sp1:3,10",
+        None,
+    ),
+}
+
+
+class TestSearchParity:
+    """The indexed, matched search returns what the plain search returned."""
+
+    @pytest.mark.parametrize("case", sorted(PINNED_SEARCHES))
+    def test_pinned_labeling_and_certificate(self, case):
+        n, seed = case
+        labels, signature, nodes = PINNED_SEARCHES[case]
+        abstract = permuted_random(n, seed)
+        labeling, cert = search_labeling(n, abstract, budget=200_000)
+        mapping = labeling.mapping
+        assert [mapping[f"v{v}"] for v in range(n)] == labels
+        assert " ".join(entry_signature(e) for e in cert.entries) == signature
+        assert check_certificate(apply_labeling(n, abstract, labeling), cert)
+        if nodes is not None:
+            assert search_labeling(n, abstract, budget=nodes) is not None
+            with pytest.raises(BudgetExceededError):
+                search_labeling(n, abstract, budget=nodes - 1)
+
+    def test_no_labeling_proof_and_budget_out(self):
+        abstract = permuted_random(10, 1)
+        with pytest.raises(BudgetExceededError):
+            search_labeling(10, abstract, budget=10_000)
+        assert search_labeling(10, abstract, budget=200_000) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(5, 7), seed=st.integers(0, 10_000))
+    def test_verdict_matches_exhaustive_oracle(self, n, seed):
+        abstract = permuted_random(n, seed)
+        ours = search_labeling(n, abstract)
+        assert (ours is None) == (exhaustive_labeling_oracle(n, abstract) is None)
+        if ours is not None:
+            labeling, cert = ours
+            assert check_certificate(apply_labeling(n, abstract, labeling), cert)
+
+
+def brute_distinct_representatives(candidates, blocked=frozenset()):
+    """The first distinct choice in backtracking order, or None."""
+    return next(
+        (
+            list(pick)
+            for pick in product(*candidates)
+            if len(set(pick)) == len(pick) and not set(pick) & blocked
+        ),
+        None,
+    )
+
+
+class TestDistinctRepresentatives:
+    def test_hall_violation(self):
+        assert _distinct_representatives([[1, 2], [1, 2], [2, 1]]) is None
+        assert _distinct_representatives([[1, 2], [1, 2], [2, 3]]) is not None
+
+    def test_blocked_values_are_skipped(self):
+        assert _distinct_representatives([[1, 2], [2]], {1}) is None
+        assert _distinct_representatives([[1, 2], [3]], {2}) == [1, 3]
+
+    def test_empty_list_has_no_representative(self):
+        assert _distinct_representatives([]) == []
+        assert _distinct_representatives([[1], []]) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        candidates=st.lists(
+            st.lists(st.integers(0, 6), max_size=4), max_size=6
+        ),
+        blocked=st.sets(st.integers(0, 6), max_size=3),
+    )
+    def test_matches_brute_force(self, candidates, blocked):
+        chosen = _distinct_representatives(candidates, blocked)
+        assert (chosen is None) == (
+            brute_distinct_representatives(candidates, blocked) is None
+        )
+        if chosen is not None:
+            assert len(set(chosen)) == len(chosen)
+            assert not set(chosen) & blocked
+            assert all(c in cands for c, cands in zip(chosen, candidates))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        candidates=st.lists(st.lists(st.integers(0, 6), max_size=4), max_size=6)
+    )
+    def test_first_choice_matches_backtracking_order(self, candidates):
+        assert _first_distinct_representatives(
+            candidates
+        ) == brute_distinct_representatives(candidates)
+
+    def test_first_choice_undoes_greedy(self):
+        # taking 1 for the first list would leave the third list nothing
+        assert _first_distinct_representatives([[1, 2], [3, 1], [1, 3]]) == [2, 3, 1]

@@ -110,6 +110,14 @@ class TestColor:
         proc = run_cli("color", str(bad), expect=1)
         assert "EdgeMultiplyCovered" in proc.stderr
 
+    @pytest.mark.parametrize("order", ["0", "1", "-3"])
+    def test_order_below_two_exit_2(self, tmp_path, order):
+        bad = tmp_path / "small.txt"
+        bad.write_text(f"n {order}\nauto-edges\n")
+        proc = run_cli("color", str(bad), expect=2)
+        assert f"order must be at least 2, got {order}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_non_arithmetic_exit_3(self, tmp_path):
         inst = tmp_path / "sts9.txt"
         run_cli("generate", "sts9_k9", "--out", str(inst))
