@@ -265,38 +265,6 @@ def _distinct_representatives(
     return chosen
 
 
-def _first_distinct_representatives(
-    candidates: Sequence[Sequence[int]],
-) -> list[int] | None:
-    """The first distinct choice, one member per list, in list order, or None.
-
-    "First" is the order of a backtracker that tries each list's members in
-    their order: every list takes its first member that is still unused and
-    leaves the later lists distinct members. The matching decides that
-    exactly, so no choice is ever undone. The matching is kept while the
-    choices agree with it and recomputed only when one does not.
-    """
-    match = _distinct_representatives(candidates)
-    if match is None:
-        return None
-    # Invariant: match[pos:] gives the undecided lists distinct members
-    # outside ``used``.
-    used: set[int] = set()
-    for pos, members in enumerate(candidates):
-        for c in members:
-            if c in used:
-                continue
-            used.add(c)
-            if c != match[pos]:
-                rest = _distinct_representatives(candidates[pos + 1 :], used)
-                if rest is None:
-                    used.discard(c)
-                    continue
-                match[pos:] = [c, *rest]
-            break
-    return match
-
-
 def find_certificate(d: CliqueDecomposition) -> ArithmeticCertificate | None:
     """Pick one option per element so that all centrals are pairwise distinct.
 
@@ -317,14 +285,22 @@ def find_certificate(d: CliqueDecomposition) -> ArithmeticCertificate | None:
 
     odd_indices = [i for i, e in enumerate(d.elements) if e.order % 2 == 1]
     odd_indices.sort(key=lambda i: (len(per_element[i]), i))
-    picks = _first_distinct_representatives(
-        [[option.central for option in per_element[i]] for i in odd_indices]
-    )
-    if picks is None:
-        return None
+    centrals = [
+        list(dict.fromkeys(o.central for o in per_element[i])) for i in odd_indices
+    ]
     chosen = [options[0] for options in per_element]
-    for idx, central in zip(odd_indices, picks):
-        chosen[idx] = next(o for o in per_element[idx] if o.central == central)
+    used: set[int] = set()
+    for pos, idx in enumerate(odd_indices):
+        rest = centrals[pos + 1 :]
+        for c in centrals[pos]:
+            if c in used:
+                continue
+            if _distinct_representatives(rest, used | {c}) is not None:
+                break
+        else:
+            return None
+        used.add(c)
+        chosen[idx] = next(o for o in per_element[idx] if o.central == c)
     return ArithmeticCertificate(tuple(chosen))
 
 
@@ -388,12 +364,14 @@ def search_labeling(
 
     One search asks for the same few hundred label sets tens of thousands of
     times, so it keeps an index from a label set's bitmask (bit x set for
-    label x) to its options and, for odd sets, its candidate centrals in
-    canonical order without repeats. An entry is built by ``element_options``
-    the first time its set completes and lives as long as the call. The
-    centrals test is one bipartite matching of the completed odd elements to
-    their candidates, run whenever an odd element completes; an even element
-    adds no central and cannot change its answer.
+    label x) to what the search needs of its options: whether there are any,
+    and for an odd set its candidate centrals in canonical order without
+    repeats. An entry is built by ``element_options`` the first time its set
+    completes and lives as long as the call; the certificate itself is built
+    once, by ``find_certificate``, for the labeling found. The centrals test
+    is one bipartite matching of the completed odd elements to their
+    candidates, run whenever an odd element completes; an even element adds
+    no central and cannot change its answer.
 
     ``unit_symmetry`` additionally restricts the second assigned vertex to
     one label per orbit of the unit group (multiplying all labels by a unit
@@ -432,8 +410,9 @@ def search_labeling(
 
     assignment: dict[int, int] = {}
     used_labels = [False] * n
-    # label-set bitmask -> (options, candidate centrals of an odd set)
-    index: dict[int, tuple[tuple[ElementCertificate, ...], tuple[int, ...]]] = {}
+    # label-set bitmask -> candidate centrals of an odd set, () for an even
+    # set, None when the set has no options
+    index: dict[int, tuple[int, ...] | None] = {}
     odd_centrals: list[tuple[int, ...]] = []  # one entry per completed odd element
     nodes = 0
 
@@ -442,16 +421,15 @@ def search_labeling(
         mask = 0
         for x in labels:
             mask |= 1 << x
-        entry = index.get(mask)
-        if entry is None:
+        if mask not in index:
             options = element_options(labels, n)
-            centrals = (
-                tuple(dict.fromkeys(o.central for o in options))
-                if len(elem) % 2 == 1
-                else ()
-            )
-            entry = index[mask] = (options, centrals)
-        return entry
+            if not options:
+                index[mask] = None
+            elif len(elem) % 2 == 1:
+                index[mask] = tuple(dict.fromkeys(o.central for o in options))
+            else:
+                index[mask] = ()
+        return index[mask]
 
     unit_reps = {d for d in range(1, n) if n % d == 0} if unit_symmetry else None
 
@@ -475,8 +453,8 @@ def search_labeling(
             ok = True
             added = 0
             for ei in completed_at[depth]:
-                options, centrals = lookup(indexed[ei])
-                if not options:
+                centrals = lookup(indexed[ei])
+                if centrals is None:
                     ok = False
                     break
                 if centrals:

@@ -46,12 +46,17 @@ def _content_lines(text: str):
             yield lineno, stripped, raw
 
 
+def _column(raw: str, token: str) -> int:
+    return max(raw.find(token) + 1, 1)
+
+
 def _int_token(token: str, lineno: int, raw: str, what: str) -> int:
     try:
         return int(token)
     except ValueError:
-        column = raw.find(token) + 1
-        raise ParseError(lineno, max(column, 1), f"{what}: {token!r} is not an integer")
+        raise ParseError(
+            lineno, _column(raw, token), f"{what}: {token!r} is not an integer"
+        )
 
 
 def parse_instance(text: str) -> CliqueDecomposition:
@@ -69,7 +74,7 @@ def parse_instance(text: str) -> CliqueDecomposition:
                 raise ParseError(lineno, 1, "header must be exactly 'n <int>'")
             n = _int_token(tokens[1], lineno, raw, "order")
             if n < 2:
-                column = raw.find(tokens[1]) + 1
+                column = _column(raw, tokens[1])
                 raise ParseError(lineno, column, f"order must be at least 2, got {n}")
         elif keyword == "element":
             if n is None:

@@ -2,12 +2,14 @@
 
 import random
 from itertools import permutations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eflcolor import (
+    ArithmeticCertificate,
     BudgetExceededError,
     EvenLengthError,
     OddCardinalityError,
@@ -18,6 +20,7 @@ from eflcolor import (
     central_vertex,
     check_certificate,
     element_options,
+    enumerate_decompositions,
     find_certificate,
     fixture,
     random_decomposition,
@@ -26,10 +29,8 @@ from eflcolor import (
     trivial_edges,
     validate_decomposition,
 )
-from eflcolor.arithmetic import (
-    _distinct_representatives,
-    _first_distinct_representatives,
-)
+from eflcolor import arithmetic
+from eflcolor.arithmetic import _distinct_representatives
 from eflcolor.oracle import exhaustive_labeling_oracle
 
 
@@ -435,15 +436,64 @@ class TestDistinctRepresentatives:
             assert not set(chosen) & blocked
             assert all(c in cands for c, cands in zip(chosen, candidates))
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        candidates=st.lists(st.lists(st.integers(0, 6), max_size=4), max_size=6)
-    )
-    def test_first_choice_matches_backtracking_order(self, candidates):
-        assert _first_distinct_representatives(
-            candidates
-        ) == brute_distinct_representatives(candidates)
 
-    def test_first_choice_undoes_greedy(self):
-        # taking 1 for the first list would leave the third list nothing
-        assert _first_distinct_representatives([[1, 2], [3, 1], [1, 3]]) == [2, 3, 1]
+def backtracking_certificate(d):
+    """find_certificate's choice by plain backtracking in the same order."""
+    per_element = [element_options(e.vertices, d.n) for e in d.elements]
+    if not all(per_element):
+        return None
+    odd = sorted(
+        (i for i, e in enumerate(d.elements) if e.order % 2 == 1),
+        key=lambda i: (len(per_element[i]), i),
+    )
+    chosen = [options[0] for options in per_element]
+
+    def assign(pos, used):
+        if pos == len(odd):
+            return True
+        for option in per_element[odd[pos]]:
+            if option.central not in used:
+                chosen[odd[pos]] = option
+                if assign(pos + 1, used | {option.central}):
+                    return True
+        return False
+
+    return ArithmeticCertificate(tuple(chosen)) if assign(0, frozenset()) else None
+
+
+class TestFindCertificateOrder:
+    """The matching lookahead picks what backtracking in the same order picks."""
+
+    def test_small_decompositions(self):
+        for n in range(2, 6):
+            for d in enumerate_decompositions(n):
+                assert find_certificate(d) == backtracking_certificate(d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(5, 11),
+        seed=st.integers(0, 10_000),
+        perm_seed=st.integers(0, 10_000),
+    )
+    def test_relabeled_random(self, n, seed, perm_seed):
+        d = random_decomposition(n, seed)
+        perm = list(range(n))
+        random.Random(perm_seed).shuffle(perm)
+        relabeled = validate_decomposition(
+            n, [[perm[v] for v in e.vertices] for e in d.elements]
+        )
+        assert find_certificate(relabeled) == backtracking_certificate(relabeled)
+
+    def test_lookahead_undoes_the_first_free_choice(self, monkeypatch):
+        # Central 1 is element 0's first free choice, but taking it leaves
+        # element 2 nothing once element 1 takes 3.
+        d = fixture("fano_k7")
+        centrals = [[1, 2], [3, 1], [1, 3], [10], [11], [12], [13]]
+        by_set = {e.vertex_set: cs for e, cs in zip(d.elements, centrals)}
+
+        def fake_options(vs, n):
+            return tuple(SimpleNamespace(central=c) for c in by_set[frozenset(vs)])
+
+        monkeypatch.setattr(arithmetic, "element_options", fake_options)
+        cert = find_certificate(d)
+        assert [entry.central for entry in cert.entries] == [2, 3, 1, 10, 11, 12, 13]
