@@ -20,8 +20,13 @@ import json
 import sys
 
 from . import files
-from .arithmetic import DEFAULT_NODE_BUDGET, find_certificate, search_labeling
-from .coloring import color_decomposition, explain_element
+from .arithmetic import (
+    DEFAULT_NODE_BUDGET,
+    apply_labeling,
+    find_certificate,
+    search_labeling,
+)
+from .coloring import ColoredDecomposition, color_decomposition, explain_element
 from .errors import (
     BudgetExceededError,
     ParseError,
@@ -29,8 +34,8 @@ from .errors import (
     ValidationError,
     VertexInOneElementError,
 )
-from .fixtures import fixture
-from .model import check_proper
+from .fixtures import fixture, random_decomposition
+from .model import CliqueDecomposition, check_proper
 from .oracle import enumerate_decompositions, exact_chromatic_index
 from .hypergraph import (
     decomposition_to_quasicluster,
@@ -130,16 +135,47 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # split as the parsers do; "\0" stands in for the bad byte
+        lines = (raw[: exc.start].decode("utf-8") + "\0").splitlines()
+        bad = f"byte 0x{raw[exc.start]:02x} is not valid UTF-8"
+        raise ParseError(len(lines), len(lines[-1]), bad)
 
 
-def _write_or_print(text_out: str, out: str | None, lines: list[str]) -> None:
+def _output(text_out: str, out: str | None) -> list[str]:
+    """The report lines of a command that writes ``text_out``: the text
+    itself, or, with ``--out``, one line naming the file written."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text_out)
-    else:
-        lines.extend(text_out.rstrip("\n").split("\n"))
+        return [f"wrote {out}"]
+    return text_out.rstrip("\n").split("\n")
+
+
+def _certify(
+    d: CliqueDecomposition, labeling: str, budget: int
+) -> tuple[ColoredDecomposition, tuple | None] | None:
+    """Certify ``d`` and color it by its certificate, or None if it has none.
+
+    With ``labeling="given"`` the vertex labels are the Z_n labels. With
+    ``"search"`` a labeling is searched for first and the decomposition is
+    relabeled through it; its (vertex, label) pairs come back with the
+    coloring. BudgetExceededError propagates.
+    """
+    if labeling == "given":
+        cert = find_certificate(d)
+        return None if cert is None else (color_decomposition(d, cert), None)
+    abstract = [elem.vertices for elem in d.elements]
+    found = search_labeling(d.n, abstract, budget=budget)
+    if found is None:
+        return None
+    chosen, cert = found
+    relabeled = apply_labeling(d.n, abstract, chosen)
+    return color_decomposition(relabeled, cert), chosen.assignment
 
 
 def _cmd_validate(args):
@@ -183,24 +219,12 @@ def _invalid_report(exc: ValidationError):
 
 def _cmd_color(args):
     d = files.parse_instance(_read(args.path))
-    labeling_pairs = None
-    if args.labeling == "given":
-        cert = find_certificate(d)
-    else:
-        abstract = [elem.vertices for elem in d.elements]
-        found = search_labeling(d.n, abstract, budget=args.budget)
-        if found is None:
-            cert = None
-        else:
-            labeling, cert = found
-            labeling_pairs = labeling.assignment
-            from .arithmetic import apply_labeling
-
-            d = apply_labeling(d.n, abstract, labeling)
-    if cert is None:
+    certified = _certify(d, args.labeling, args.budget)
+    if certified is None:
         report = {"command": "color", "ok": False, "reason": "no certificate"}
         return report, ["no certificate"], 3
-    colored = color_decomposition(d, cert)
+    colored, labeling_pairs = certified
+    cert = colored.certificate
     comments = []
     if labeling_pairs is not None:
         comments.append(
@@ -236,11 +260,7 @@ def _cmd_color(args):
         ),
         "explain": comments if args.explain else [],
     }
-    lines: list[str] = []
-    _write_or_print(out_text, args.out, lines)
-    if args.out:
-        lines.append(f"wrote {args.out}")
-    return report, lines, 0
+    return report, _output(out_text, args.out), 0
 
 
 def _cmd_verify(args):
@@ -266,10 +286,8 @@ def _cmd_verify(args):
 def _cmd_chi(args):
     d = files.parse_instance(_read(args.path))
     result = exact_chromatic_index(d, budget=args.budget)
-    cert = find_certificate(d)
-    theorem_colors = None
-    if cert is not None:
-        theorem_colors = color_decomposition(d, cert).colors_used
+    certified = _certify(d, "given", args.budget)
+    theorem_colors = None if certified is None else certified[0].colors_used
     comments = [
         f"chi {result.chi}",
         f"n {d.n}",
@@ -287,11 +305,7 @@ def _cmd_chi(args):
         "witness": list(result.witness),
         "nodes_explored": result.nodes_explored,
     }
-    lines: list[str] = []
-    _write_or_print(out_text, args.out, lines)
-    if args.out:
-        lines.append(f"wrote {args.out}")
-    return report, lines, 0
+    return report, _output(out_text, args.out), 0
 
 
 def _cmd_convert(args):
@@ -316,11 +330,7 @@ def _cmd_convert(args):
         )
         out_text = files.serialize_instance(d, comments=(f"vertex->element {pairs}",))
     report = {"command": "convert", "ok": True, "to": args.to, "text": out_text}
-    lines: list[str] = []
-    _write_or_print(out_text, args.out, lines)
-    if args.out:
-        lines.append(f"wrote {args.out}")
-    return report, lines, 0
+    return report, _output(out_text, args.out), 0
 
 
 def _sweep_instances(args):
@@ -331,16 +341,12 @@ def _sweep_instances(args):
             for idx, d in enumerate(enumerate_decompositions(n)):
                 yield n, idx, d
     else:
-        from .fixtures import random_decomposition
-
         for n in range(2, args.n_max + 1):
             for idx in range(args.count):
                 yield n, idx, random_decomposition(n, args.seed + idx)
 
 
 def _cmd_sweep(args):
-    from .arithmetic import apply_labeling
-
     rows = []
     lines = [f"sweep mode {args.mode} n-max {args.n_max}"]
     violated = 0
@@ -354,25 +360,16 @@ def _cmd_sweep(args):
         except BudgetExceededError:
             chi = None
             timeouts += 1
-        cert = find_certificate(d)
-        theorem_colors = None
-        if cert is not None:
-            arith = "yes"
-            theorem_colors = color_decomposition(d, cert).colors_used
+        try:
+            certified = _certify(d, "given", args.budget) or _certify(
+                d, "search", args.budget
+            )
+        except BudgetExceededError:
+            certified = None
+            arith = "unknown"
         else:
-            abstract = [elem.vertices for elem in d.elements]
-            try:
-                found = search_labeling(d.n, abstract, budget=args.budget)
-            except BudgetExceededError:
-                arith = "unknown"
-            else:
-                if found is None:
-                    arith = "no"
-                else:
-                    arith = "yes"
-                    labeling, cert2 = found
-                    relabeled = apply_labeling(d.n, abstract, labeling)
-                    theorem_colors = color_decomposition(relabeled, cert2).colors_used
+            arith = "no" if certified is None else "yes"
+        theorem_colors = None if certified is None else certified[0].colors_used
         if chi is not None and chi > d.n:
             violated += 1
         if arith == "yes":
@@ -427,11 +424,7 @@ def _cmd_generate(args):
         "elements": len(d.elements),
         "text": out_text,
     }
-    lines: list[str] = []
-    _write_or_print(out_text, args.out, lines)
-    if args.out:
-        lines.append(f"wrote {args.out}")
-    return report, lines, 0
+    return report, _output(out_text, args.out), 0
 
 
 if __name__ == "__main__":

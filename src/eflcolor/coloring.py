@@ -45,13 +45,18 @@ def element_color(cert: ElementCertificate) -> int:
         terms = p.terms
         j = (terms[0] + terms[-1]) % n
         if p.length % 2 == 1:
-            doubled = (2 * p.central) % n
-            assert doubled == j, "central identity 2c = first + last failed"
+            if (2 * p.central) % n != j:
+                raise TheoremViolationError(
+                    (), "central identity 2c = first + last failed"
+                )
         return j
     first, second = cert.first, cert.second
     n = first.modulus
     j = (first.terms[0] + second.terms[-1]) % n
-    assert j == (second.terms[0] + first.terms[-1]) % n
+    if j != (second.terms[0] + first.terms[-1]) % n:
+        raise TheoremViolationError(
+            (), "split pair sums v_1 + u_l and u_1 + v_l differ"
+        )
     return j
 
 
@@ -126,5 +131,8 @@ def color_decomposition(
         if not verdict.ok:
             raise TheoremViolationError(verdict.conflicts)
     colors_used = len(set(coloring))
-    assert colors_used <= d.n
+    if colors_used > d.n:
+        raise TheoremViolationError(
+            (), f"certified coloring uses {colors_used} colors for n = {d.n}"
+        )
     return ColoredDecomposition(d, cert, coloring, colors_used)

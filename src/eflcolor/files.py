@@ -24,9 +24,9 @@ Hypergraph file::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import ParseError
+from .fixtures import complete_with_pairs
 from .hypergraph import Quasicluster, validate_quasicluster
 from .model import CliqueDecomposition, validate_decomposition
 
@@ -91,12 +91,7 @@ def parse_instance(text: str) -> CliqueDecomposition:
     if n is None:
         raise ParseError(1, 1, "missing 'n <int>' header")
     if auto_edges:
-        covered = {
-            pair for elem in elements for pair in combinations(sorted(elem), 2)
-        }
-        elements.extend(
-            pair for pair in combinations(range(n), 2) if pair not in covered
-        )
+        elements = list(complete_with_pairs(n, tuple(elements)))
     return validate_decomposition(n, elements)
 
 
@@ -153,6 +148,11 @@ def parse_hypergraph(text: str) -> tuple[tuple[str, ...], Quasicluster]:
             if len(tokens) != 2:
                 raise ParseError(lineno, 1, "header must be 'edges <int>'")
             declared = _int_token(tokens[1], lineno, raw, "edge count")
+            if declared < 2:
+                column = _column(raw, tokens[1])
+                raise ParseError(
+                    lineno, column, f"edge count must be at least 2, got {declared}"
+                )
         elif tokens[0] == "edge":
             if len(tokens) < 4 or tokens[2] != ":":
                 raise ParseError(

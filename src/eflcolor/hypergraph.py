@@ -137,10 +137,7 @@ def decomposition_to_quasicluster(
     Requires every K_n vertex to lie in at least two elements, which fails
     only for the one-element decomposition {K_n}.
     """
-    containing: list[list[int]] = [[] for _ in range(d.n)]
-    for idx, elem in enumerate(d.elements):
-        for v in elem.vertices:
-            containing[v].append(idx)
+    containing = d.vertex_elements()
     for v in range(d.n):
         if len(containing[v]) < 2:
             raise VertexInOneElementError(v)

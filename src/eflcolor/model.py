@@ -48,6 +48,14 @@ class CliqueDecomposition:
     def vertex_sets(self) -> list[frozenset[int]]:
         return [e.vertex_set for e in self.elements]
 
+    def vertex_elements(self) -> list[list[int]]:
+        """For each vertex, the indices of the elements containing it, ascending."""
+        containing: list[list[int]] = [[] for _ in range(self.n)]
+        for idx, elem in enumerate(self.elements):
+            for v in elem.vertices:
+                containing[v].append(idx)
+        return containing
+
 
 @dataclass(frozen=True)
 class ConflictGraph:
@@ -132,19 +140,14 @@ def validate_decomposition(
 def intersection_graph(d: CliqueDecomposition) -> ConflictGraph:
     """Build the conflict graph; adjacency means a (unique) shared vertex."""
     m = len(d.elements)
-    containing: list[list[int]] = [[] for _ in range(d.n)]
-    for idx, elem in enumerate(d.elements):
-        for v in elem.vertices:
-            containing[v].append(idx)
-
     shared: dict[tuple[int, int], int] = {}
     neighbor_sets: list[set[int]] = [set() for _ in range(m)]
-    for v in range(d.n):
-        members = containing[v]
+    for v, members in enumerate(d.vertex_elements()):
         for i, j in combinations(members, 2):
             key = (i, j)
             # exact edge cover forces |V(G_i) ∩ V(G_j)| <= 1
-            assert key not in shared, f"elements {i},{j} share two vertices"
+            if key in shared:
+                raise ValueError(f"elements {i},{j} share two vertices")
             shared[key] = v
             neighbor_sets[i].add(j)
             neighbor_sets[j].add(i)

@@ -36,17 +36,11 @@ class ExactResult:
 
 
 def greedy_coloring(d: CliqueDecomposition) -> tuple[int, ...]:
-    """Largest-degree-first greedy on the conflict graph; proper by construction."""
-    graph = intersection_graph(d)
-    order = sorted(range(graph.node_count), key=lambda i: (-graph.degree(i), i))
-    colors = [-1] * graph.node_count
-    for node in order:
-        taken = {colors[u] for u in graph.neighbors[node] if colors[u] >= 0}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[node] = c
-    return tuple(colors)
+    """Largest-degree-first greedy on the conflict graph; proper by construction.
+
+    This is the first pass of ``_iterated_greedy``, without its re-colorings.
+    """
+    return _iterated_greedy(intersection_graph(d).neighbors, rounds=0)
 
 
 def _greedy_on_order(
@@ -201,10 +195,7 @@ def exact_chromatic_index(
     m = graph.node_count
     if m == 0:
         return ExactResult(0, (), 0)
-    upper_witness = greedy_coloring(d)
-    improved = _iterated_greedy(graph.neighbors)
-    if len(set(improved)) < len(set(upper_witness)):
-        upper_witness = improved
+    upper_witness = _iterated_greedy(graph.neighbors)
     clique_bound = len(_greedy_clique(graph.neighbors))
     packing_bound = -(-m // (d.n // 2))
     lower = max(1, clique_bound, packing_bound)

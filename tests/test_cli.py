@@ -76,6 +76,13 @@ class TestValidate:
         proc = run_cli("validate", str(h), "--hypergraph")
         assert "valid hypergraph edges 9" in proc.stdout
 
+    def test_hypergraph_without_edges_exit_2(self, tmp_path):
+        h = tmp_path / "empty.txt"
+        h.write_text("edges 0\n")
+        proc = run_cli("validate", str(h), "--hypergraph", expect=2)
+        assert "line 1, column 7: edge count must be at least 2, got 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestColor:
     def test_paper_k9_colors(self, k9, tmp_path):
@@ -116,6 +123,13 @@ class TestColor:
         bad.write_text(f"n {order}\nauto-edges\n")
         proc = run_cli("color", str(bad), expect=2)
         assert f"order must be at least 2, got {order}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_non_utf8_file_exit_2(self, tmp_path):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"n 3\nelement 0 1 \xff\n")
+        proc = run_cli("color", str(bad), expect=2)
+        assert "line 2, column 13: byte 0xff is not valid UTF-8" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_non_arithmetic_exit_3(self, tmp_path):
@@ -196,6 +210,13 @@ class TestConvert:
         inst.write_text("n 4\nelement 0 1 2 3\n")
         run_cli("convert", str(inst), "--to", "hypergraph", expect=3)
 
+    def test_hypergraph_without_edges_exit_2(self, tmp_path):
+        h = tmp_path / "empty.txt"
+        h.write_text("edges 0\n")
+        proc = run_cli("convert", str(h), "--to", "decomposition", expect=2)
+        assert "edge count must be at least 2, got 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestSweep:
     def test_exhaustive_n3(self):
@@ -214,6 +235,31 @@ class TestSweep:
     def test_random_deterministic(self):
         args = ("sweep", "--n-max", "5", "--mode", "random", "--count", "4", "--seed", "9")
         assert run_cli(*args).stdout == run_cli(*args).stdout
+
+
+class TestOutFile:
+    """``--out f`` writes the bytes the command prints without it."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("color", "{k9}", "--explain"),
+            ("color", "{k9}", "--labeling", "search"),
+            ("chi", "{k9}"),
+            ("convert", "{k9}", "--to", "hypergraph"),
+            ("convert", "{h}", "--to", "decomposition"),
+            ("generate", "random", "--n", "7", "--seed", "5"),
+        ],
+    )
+    def test_out_file_holds_stdout(self, args, k9, tmp_path):
+        h = tmp_path / "h.txt"
+        run_cli("convert", str(k9), "--to", "hypergraph", "--out", str(h))
+        argv = [a.format(k9=k9, h=h) for a in args]
+        printed = run_cli(*argv).stdout
+        out = tmp_path / "out.txt"
+        proc = run_cli(*argv, "--out", str(out))
+        assert proc.stdout == f"wrote {out}\n"
+        assert out.read_bytes() == printed.encode("utf-8")
 
 
 class TestDeterminism:

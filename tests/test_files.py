@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eflcolor import ParseError, ValidationError, fixture, random_decomposition
+from eflcolor import (
+    ParseError,
+    ValidationError,
+    fixture,
+    random_decomposition,
+    validate_decomposition,
+)
+from eflcolor.fixtures import complete_with_pairs
 from eflcolor.files import (
     parse_coloring,
     parse_hypergraph,
@@ -41,6 +48,16 @@ class TestInstanceFormat:
             for t in [(0, 3, 6), (1, 4, 7), (5, 8, 2), (0, 2, 4), (4, 6, 8), (8, 1, 3), (3, 5, 7)]
         ) + "\nauto-edges\n"
         assert parse_instance(text) == fixture("paper_k9")
+
+    @pytest.mark.parametrize("n", [4, 6, 9])
+    def test_auto_edges_is_complete_with_pairs(self, n):
+        given = ((n - 1, 0, 1), (3, 2))
+        text = f"n {n}\n" + "".join(
+            "element " + " ".join(map(str, t)) + "\n" for t in given
+        )
+        d = parse_instance(text + "auto-edges\n")
+        expected = validate_decomposition(n, complete_with_pairs(n, given))
+        assert d.elements == expected.elements
 
     def test_missing_header(self):
         with pytest.raises(ParseError):
@@ -99,6 +116,13 @@ class TestHypergraphFormat:
             parse_hypergraph(
                 "edges 3\nedge A : x y\nedge A : y z\nedge B : x z\n"
             )
+
+    @pytest.mark.parametrize("count", ["0", "1", "-2"])
+    def test_edge_count_below_two(self, count):
+        with pytest.raises(ParseError) as exc:
+            parse_hypergraph(f"# none\nedges  {count}\n")
+        assert (exc.value.line, exc.value.column) == (2, 8)
+        assert f"edge count must be at least 2, got {count}" in str(exc.value)
 
     def test_malformed_edge_line(self):
         with pytest.raises(ParseError):

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eflcolor import (
+    CliqueDecomposition,
+    Element,
     ValidationError,
     check_proper,
     fixture,
@@ -100,6 +102,12 @@ class TestIntersectionGraph:
         g = intersection_graph(d)
         assert g.adjacent(0, 3)  # G_0 = {0,3,6}, H_0 = {0,2,4}
         assert g.shared_vertex[(0, 3)] == 0
+
+    def test_two_shared_vertices_raise(self):
+        # built without validation: both elements cover the edge 0-1
+        d = CliqueDecomposition(3, (Element((0, 1, 2)), Element((0, 1))))
+        with pytest.raises(ValueError, match="elements 0,1 share two vertices"):
+            intersection_graph(d)
 
     def test_pairwise_intersections_at_most_one(self):
         for seed in range(10):

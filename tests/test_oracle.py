@@ -76,6 +76,40 @@ class TestExactChi:
         assert r1 == r2
 
 
+# (chi, nodes explored, witness) of the exact colorer: a change to its
+# bounds or its greedy passes must not change which witness it returns.
+WITNESSES = {
+    "paper_k9": (7, 208, (0, 0, 0, 1, 2, 3, 1, 2, 3, 4, 5, 4, 5, 1, 5, 3, 2, 4, 6, 4, 5, 6)),
+    "trivial_edges_9": (9, 0, (
+        3, 4, 5, 6, 0, 1, 2, 7, 1, 0, 5, 8, 2, 7, 4, 7, 8, 6,
+        3, 0, 5, 2, 3, 8, 6, 1, 4, 7, 3, 0, 5, 1, 2, 4, 6, 8,
+    )),
+    "random_12_0": (9, 0, (
+        0, 1, 5, 6, 7, 8, 6, 7, 8, 2, 3, 4, 4, 8, 7,
+        8, 3, 6, 7, 6, 2, 3, 2, 5, 4, 5, 5, 2, 4, 3,
+    )),
+    "random_12_1": (8, 26, (2, 0, 1, 6, 3, 4, 5, 3, 4, 2, 4, 7, 2, 5, 6, 2, 6, 5, 0, 1, 3)),
+    "random_12_2": (12, 0, tuple(range(12))),
+    "random_12_3": (9, 0, (
+        0, 1, 5, 6, 7, 8, 2, 3, 4, 6, 7, 8, 4, 8, 7,
+        3, 2, 5, 8, 7, 3, 6, 6, 2, 4, 5, 2, 5, 4, 3,
+    )),
+}
+
+
+class TestExactWitnesses:
+    @pytest.mark.parametrize("name", sorted(WITNESSES))
+    def test_witness_pinned(self, name):
+        if name == "paper_k9":
+            d = fixture("paper_k9")
+        elif name == "trivial_edges_9":
+            d = trivial_edges(9)
+        else:
+            d = random_decomposition(12, int(name.rsplit("_", 1)[1]))
+        result = exact_chromatic_index(d)
+        assert (result.chi, result.nodes_explored, result.witness) == WITNESSES[name]
+
+
 class TestGreedy:
     def test_single_element(self):
         d = validate_decomposition(3, [(0, 1, 2)])
