@@ -17,7 +17,7 @@ ordering and fail for another.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Hashable, Iterable, Sequence
+from typing import Collection, Hashable, Iterable, Iterator, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -210,27 +210,35 @@ def split_orderings(
     return tuple(found)
 
 
-def element_options(vertices: Iterable[int], n: int) -> tuple[ElementCertificate, ...]:
-    """All certificate candidates for one element, in canonical order.
+def _iter_options(
+    vertices: Iterable[int], n: int
+) -> Iterator[ElementCertificate]:
+    """The certificate candidates of one element, lazily, in canonical order.
 
     Order: ascending step; within a step, single progressions (ascending
-    start) before splits (ascending start pair). An empty result means the
-    element has no arithmetic representation under the current labels.
+    start) before splits (ascending start pair). Each step's orderings are
+    built only when the options before them have been consumed, so a caller
+    that needs just the first option pays for the steps up to it.
     """
     target = frozenset(vertices)
     if len(target) < 2:
         raise ValueError("elements have at least two vertices")
-    options: list[ElementCertificate] = []
     even = len(target) % 2 == 0
     for step in range(1, n // 2 + 1):
-        options.extend(
-            SingleCertificate(p) for p in arithmetic_orderings(target, step, n)
-        )
+        for p in arithmetic_orderings(target, step, n):
+            yield SingleCertificate(p)
         if even:
-            options.extend(
-                SplitCertificate(a, b) for a, b in split_orderings(target, step, n)
-            )
-    return tuple(options)
+            for a, b in split_orderings(target, step, n):
+                yield SplitCertificate(a, b)
+
+
+def element_options(vertices: Iterable[int], n: int) -> tuple[ElementCertificate, ...]:
+    """All certificate candidates for one element, in canonical order.
+
+    An empty result means the element has no arithmetic representation under
+    the current labels. See ``_iter_options`` for the order.
+    """
+    return tuple(_iter_options(vertices, n))
 
 
 def _distinct_representatives(
@@ -268,27 +276,31 @@ def _distinct_representatives(
 def find_certificate(d: CliqueDecomposition) -> ArithmeticCertificate | None:
     """Pick one option per element so that all centrals are pairwise distinct.
 
-    Even-order elements carry no central, so any option serves; the first in
-    canonical order is taken. Odd-order elements are decided fewest options
-    first, each taking its first option in canonical order whose central is
-    unused and still leaves the remaining odd elements distinct centrals. A
-    bipartite matching decides that lookahead exactly, so this is the first
-    solution a backtracker in the same order would reach, found without
-    backtracking. Returns None iff no selection exists.
+    Even-order elements carry no central, so any option serves; each takes
+    its first in canonical order, and its other options are never built.
+    Odd-order elements are decided fewest options first, each taking its
+    first option in canonical order whose central is unused and still leaves
+    the remaining odd elements distinct centrals. A bipartite matching
+    decides that lookahead exactly, so this is the first solution a
+    backtracker in the same order would reach, found without backtracking.
+    Returns None iff no selection exists.
     """
-    per_element: list[tuple[ElementCertificate, ...]] = []
-    for elem in d.elements:
-        options = element_options(elem.vertices, d.n)
-        if not options:
+    chosen: list[ElementCertificate] = []
+    per_odd: dict[int, tuple[ElementCertificate, ...]] = {}
+    for i, elem in enumerate(d.elements):
+        if elem.order % 2 == 1:
+            per_odd[i] = options = element_options(elem.vertices, d.n)
+        else:
+            options = _iter_options(elem.vertices, d.n)
+        first = next(iter(options), None)
+        if first is None:
             return None
-        per_element.append(options)
+        chosen.append(first)
 
-    odd_indices = [i for i, e in enumerate(d.elements) if e.order % 2 == 1]
-    odd_indices.sort(key=lambda i: (len(per_element[i]), i))
+    odd_indices = sorted(per_odd, key=lambda i: (len(per_odd[i]), i))
     centrals = [
-        list(dict.fromkeys(o.central for o in per_element[i])) for i in odd_indices
+        list(dict.fromkeys(o.central for o in per_odd[i])) for i in odd_indices
     ]
-    chosen = [options[0] for options in per_element]
     used: set[int] = set()
     for pos, idx in enumerate(odd_indices):
         rest = centrals[pos + 1 :]
@@ -300,7 +312,7 @@ def find_certificate(d: CliqueDecomposition) -> ArithmeticCertificate | None:
         else:
             return None
         used.add(c)
-        chosen[idx] = next(o for o in per_element[idx] if o.central == c)
+        chosen[idx] = next(o for o in per_odd[idx] if o.central == c)
     return ArithmeticCertificate(tuple(chosen))
 
 
@@ -366,8 +378,9 @@ def search_labeling(
     times, so it keeps an index from a label set's bitmask (bit x set for
     label x) to what the search needs of its options: whether there are any,
     and for an odd set its candidate centrals in canonical order without
-    repeats. An entry is built by ``element_options`` the first time its set
-    completes and lives as long as the call; the certificate itself is built
+    repeats. An entry is built the first time its set completes, an odd
+    set's from ``element_options`` and an even set's from its first option
+    alone, and lives as long as the call; the certificate itself is built
     once, by ``find_certificate``, for the labeling found. The centrals test
     is one bipartite matching of the completed odd elements to their
     candidates, run whenever an odd element completes; an even element adds
@@ -422,11 +435,12 @@ def search_labeling(
         for x in labels:
             mask |= 1 << x
         if mask not in index:
-            options = element_options(labels, n)
-            if not options:
+            if len(elem) % 2 == 1:
+                options = element_options(labels, n)
+                centrals = tuple(dict.fromkeys(o.central for o in options))
+                index[mask] = centrals or None
+            elif next(_iter_options(labels, n), None) is None:
                 index[mask] = None
-            elif len(elem) % 2 == 1:
-                index[mask] = tuple(dict.fromkeys(o.central for o in options))
             else:
                 index[mask] = ()
         return index[mask]
@@ -469,7 +483,11 @@ def search_labeling(
             del assignment[v]
         return False
 
-    if not extend(0):
+    try:
+        found = extend(0)
+    finally:
+        del extend  # a self-referencing closure; free the search state now
+    if not found:
         return None
     labeling = Labeling(tuple((order[v], assignment[v]) for v in range(n)))
     relabeled = validate_decomposition(

@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labeling", choices=("given", "search"), default="given")
     p.add_argument("--explain", action="store_true", help="append per-element derivations")
     p.add_argument("--out", help="write the coloring file here instead of stdout")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_color)
 
@@ -102,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi", help="exact chromatic index with witness")
     p.add_argument("path")
-    p.add_argument("--budget", type=int, default=5_000_000)
+    p.add_argument("--budget", type=_budget, default=5_000_000)
     p.add_argument("--out", help="write the witness coloring file here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_chi)
@@ -119,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     p.add_argument("--count", type=int, default=20, help="instances per n in random mode")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=200_000, help="labeling-search node budget")
+    p.add_argument("--budget", type=_budget, default=200_000, help="labeling-search node budget")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_sweep)
 
@@ -132,6 +132,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_generate)
 
     return parser
+
+
+def _budget(text: str) -> int:
+    """argparse type of ``--budget``: a node count, zero or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
 
 
 def _read(path: str) -> str:
@@ -269,6 +280,13 @@ def _cmd_verify(args):
     if sorted(doc.assignment) != list(range(len(d.elements))):
         raise ParseError(1, 1, "coloring does not match the instance's element indices")
     coloring = [doc.assignment[i] for i in range(len(d.elements))]
+    if doc.colors_used != len(set(coloring)):
+        raise ParseError(
+            1,
+            1,
+            f"coloring declares colors-used {doc.colors_used}"
+            f" but uses {len(set(coloring))} colors",
+        )
     verdict = check_proper(d, coloring)
     report = {
         "command": "verify",

@@ -38,22 +38,22 @@ class Hypergraph:
     def n(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> list[HVertex]:
-        order: list[HVertex] = []
-        seen: set[HVertex] = set()
-        for edge in self.edges:
+    def vertex_edges(self) -> dict[HVertex, list[int]]:
+        """For each vertex, the indices of the edges containing it, ascending.
+
+        Vertices are keyed in order of first appearance.
+        """
+        containing: dict[HVertex, list[int]] = {}
+        for idx, edge in enumerate(self.edges):
             for v in edge:
-                if v not in seen:
-                    seen.add(v)
-                    order.append(v)
-        return order
+                containing.setdefault(v, []).append(idx)
+        return containing
+
+    def vertices(self) -> list[HVertex]:
+        return list(self.vertex_edges())
 
     def degrees(self) -> dict[HVertex, int]:
-        degree: dict[HVertex, int] = {}
-        for edge in self.edges:
-            for v in edge:
-                degree[v] = degree.get(v, 0) + 1
-        return degree
+        return {v: len(idxs) for v, idxs in self.vertex_edges().items()}
 
     def edges_containing(self, v: HVertex) -> list[int]:
         return [i for i, edge in enumerate(self.edges) if v in edge]
@@ -157,10 +157,9 @@ def quasicluster_to_decomposition(
 ) -> tuple[CliqueDecomposition, Correspondence]:
     """K_n vertices = edge indices; element of a hypergraph vertex = its edge set."""
     n = h.n
-    vertex_order = _sorted_ids(h.vertices())
-    raw_elements = [
-        tuple(h.edges_containing(u)) for u in vertex_order
-    ]
+    containing = h.vertex_edges()
+    vertex_order = _sorted_ids(containing)
+    raw_elements = [tuple(containing[u]) for u in vertex_order]
     d = validate_decomposition(n, raw_elements)
     corr = Correspondence(
         decomposition=d,
@@ -236,9 +235,10 @@ def edge_arithmetic_check(
     n = h.n
     if sorted(labels) != list(range(n)):
         raise ValueError("edge labeling must be a bijection onto 0..n-1")
-    vertex_order = _sorted_ids(h.vertices())
+    containing = h.vertex_edges()
+    vertex_order = _sorted_ids(containing)
     raw_elements = [
-        tuple(labels[j] for j in h.edges_containing(u)) for u in vertex_order
+        tuple(labels[j] for j in containing[u]) for u in vertex_order
     ]
     d = validate_decomposition(n, raw_elements)
     cert = find_certificate(d)

@@ -169,9 +169,12 @@ def _exact_color_graph(
                 colors[v] = -1
             return False
 
-        if descend(0, -1):
-            return colors
-        return None
+        try:
+            return colors if descend(0, -1) else None
+        finally:
+            # descend refers to itself through its closure; breaking that
+            # cycle frees this attempt's state now, not at the next GC pass
+            del descend
 
     witness = tuple(upper_witness)
     for k in range(lower, upper):

@@ -1,7 +1,7 @@
 """k-arithmetic detection, certificates, and the labeling search."""
 
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from types import SimpleNamespace
 
 import pytest
@@ -15,6 +15,7 @@ from eflcolor import (
     OddCardinalityError,
     Progression,
     SingleCertificate,
+    SplitCertificate,
     apply_labeling,
     arithmetic_orderings,
     central_vertex,
@@ -23,6 +24,7 @@ from eflcolor import (
     enumerate_decompositions,
     find_certificate,
     fixture,
+    near_pencil,
     random_decomposition,
     search_labeling,
     split_orderings,
@@ -497,3 +499,52 @@ class TestFindCertificateOrder:
         monkeypatch.setattr(arithmetic, "element_options", fake_options)
         cert = find_certificate(d)
         assert [entry.central for entry in cert.entries] == [2, 3, 1, 10, 11, 12, 13]
+
+
+def spec_options(vertices, n):
+    """element_options as specified: by step, single orderings, then splits."""
+    options = []
+    for step in range(1, n // 2 + 1):
+        options += [SingleCertificate(p) for p in arithmetic_orderings(vertices, step, n)]
+        if len(vertices) % 2 == 0:
+            options += [
+                SplitCertificate(a, b) for a, b in split_orderings(vertices, step, n)
+            ]
+    return options
+
+
+class TestOptionGenerator:
+    def test_matches_spec_on_every_subset(self):
+        for n in range(2, 10):
+            for size in range(2, n + 1):
+                for vs in combinations(range(n), size):
+                    spec = spec_options(vs, n)
+                    assert list(arithmetic._iter_options(vs, n)) == spec
+                    assert element_options(vs, n) == tuple(spec)
+
+    def test_even_elements_build_only_their_first_option(self, monkeypatch):
+        calls = []
+        original = arithmetic.split_orderings
+
+        def counted(vertices, step, n):
+            calls.append(step)
+            return original(vertices, step, n)
+
+        monkeypatch.setattr(arithmetic, "split_orderings", counted)
+        d = trivial_edges(60)
+        assert find_certificate(d) is not None
+        assert len(calls) <= len(d.elements)
+
+
+class TestFindCertificateFamilies:
+    """Taking an even element's first option changes no certificate."""
+
+    def test_fixtures(self):
+        for name in ("paper_k9", "fano_k7", "sts9_k9"):
+            d = fixture(name)
+            assert find_certificate(d) == backtracking_certificate(d)
+
+    @pytest.mark.parametrize("n", [*range(3, 13), 15, 30, 45, 60])
+    def test_trivial_edges_and_near_pencil(self, n):
+        for d in (trivial_edges(n), near_pencil(n)):
+            assert find_certificate(d) == backtracking_certificate(d)

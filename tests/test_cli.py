@@ -172,6 +172,46 @@ class TestVerify:
         col.write_text("colors-used 1\ncolor 0 0\ncolor 1 0\n")
         run_cli("verify", str(inst), str(col), expect=2)
 
+    def test_declared_colors_mismatch_exit_2(self, tmp_path):
+        inst = tmp_path / "e3.txt"
+        run_cli("generate", "trivial_edges", "--n", "3", "--out", str(inst))
+        col = tmp_path / "undercount.txt"
+        col.write_text("colors-used 1\ncolor 0 0\ncolor 1 1\ncolor 2 2\n")
+        proc = run_cli("verify", str(inst), str(col), expect=2)
+        assert "declares colors-used 1 but uses 3 colors" in proc.stderr
+        assert proc.stdout == ""
+
+
+class TestBudget:
+    @pytest.fixture()
+    def e3(self, tmp_path):
+        path = tmp_path / "e3.txt"
+        run_cli("generate", "trivial_edges", "--n", "3", "--out", str(path))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("color", "{e3}", "--labeling", "search", "--budget", "-1"),
+            ("chi", "{e3}", "--budget", "-5"),
+            ("sweep", "--n-max", "3", "--budget", "-1"),
+        ],
+    )
+    def test_negative_budget_is_usage_error(self, args, e3):
+        proc = run_cli(*(a.format(e3=e3) for a in args), expect=2)
+        assert "usage:" in proc.stderr
+        assert "--budget: must not be negative" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_zero_budget_accepted(self, e3):
+        proc = run_cli("chi", e3, "--budget", "0")
+        assert "# chi 3" in proc.stdout
+        run_cli("color", e3, "--labeling", "search", "--budget", "0", expect=4)
+
+    def test_non_integer_budget_message_unchanged(self, e3):
+        proc = run_cli("chi", e3, "--budget", "x", expect=2)
+        assert "argument --budget: invalid int value: 'x'" in proc.stderr
+
 
 class TestChi:
     def test_trivial_edges_4(self, tmp_path):

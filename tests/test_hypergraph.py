@@ -1,9 +1,12 @@
 """Quasicluster validation, the bijection with decompositions, padding."""
 
+import random
+
 import pytest
 
 from eflcolor import (
     EdgeBecomesEmptyError,
+    Hypergraph,
     ValidationError,
     VertexInOneElementError,
     check_vertex_coloring,
@@ -25,6 +28,7 @@ from eflcolor import (
     validate_decomposition,
     validate_quasicluster,
 )
+from eflcolor.hypergraph import _sorted_ids
 
 TRIANGLE = [("a", "b"), ("b", "c"), ("a", "c")]
 
@@ -121,6 +125,45 @@ class TestBijection:
                 ]
                 done += 1
         assert done >= 80
+
+
+def sample_hypergraphs():
+    """Quasiclusters of assorted decompositions, with integer and with
+    shuffled string vertex ids (first appearance no longer sorted)."""
+    decompositions = [
+        fixture("paper_k9"),
+        fixture("fano_k7"),
+        fixture("sts9_k9"),
+        trivial_edges(6),
+        near_pencil(9),
+    ] + [random_decomposition(n, seed) for n in range(4, 13) for seed in range(3)]
+    for d in decompositions:
+        if len(d.elements) == 1:
+            continue
+        h, _ = decomposition_to_quasicluster(d)
+        yield h
+        names = [str(i) for i in range(len(d.elements))] + ["a", "b10"]
+        random.Random(len(d.elements)).shuffle(names)
+        yield Hypergraph(tuple(tuple(names[v] for v in edge) for edge in h.edges))
+
+
+class TestVertexEdges:
+    def test_matches_edges_containing(self):
+        for h in sample_hypergraphs():
+            first_seen = list(dict.fromkeys(v for edge in h.edges for v in edge))
+            index = h.vertex_edges()
+            assert list(index) == h.vertices() == first_seen
+            assert index == {v: h.edges_containing(v) for v in first_seen}
+
+    def test_decomposition_matches_edge_scans(self):
+        for h in sample_hypergraphs():
+            d, corr = quasicluster_to_decomposition(h)
+            order = _sorted_ids(dict.fromkeys(v for edge in h.edges for v in edge))
+            expected = validate_decomposition(
+                h.n, [tuple(h.edges_containing(u)) for u in order]
+            )
+            assert d == expected
+            assert dict(corr.element_to_vertex) == dict(enumerate(order))
 
 
 class TestColoringTransfer:
