@@ -273,6 +273,38 @@ def _distinct_representatives(
     return chosen
 
 
+def _backtrack(moves, place, unplace, goal: int, budget: int, nodes: int = 0):
+    """Depth-first search on an explicit stack; returns (found, nodes).
+
+    ``moves()`` lists the candidates of the next level for the current state.
+    ``place(c)`` applies one and returns True or, when the search may not go
+    below it, returns False with the state unchanged. ``unplace(c)`` undoes a
+    placed candidate. A state with ``goal`` (at least 1) candidates placed
+    is a solution, left in place on return. Every candidate tried is one
+    node, counted on from ``nodes``; trying more than ``budget`` raises
+    BudgetExceededError. No recursion, so the depth of the search is not
+    bounded by Python's recursion limit.
+    """
+    levels = [iter(moves())]
+    path = []
+    while levels:
+        for c in levels[-1]:  # resumes where this level stopped
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(budget)
+            if place(c):
+                if len(levels) == goal:
+                    return True, nodes
+                path.append(c)
+                levels.append(iter(moves()))
+                break
+        else:  # level exhausted: back up one
+            levels.pop()
+            if path:
+                unplace(path.pop())
+    return False, nodes
+
+
 def find_certificate(d: CliqueDecomposition) -> ArithmeticCertificate | None:
     """Pick one option per element so that all centrals are pairwise distinct.
 
@@ -421,13 +453,13 @@ def search_labeling(
         last = max(position[v] for v in elem)
         completed_at[last].append(ei)
 
-    assignment: dict[int, int] = {}
+    assignment: dict[int, int] = {}  # filled in variable order
     used_labels = [False] * n
     # label-set bitmask -> candidate centrals of an odd set, () for an even
     # set, None when the set has no options
     index: dict[int, tuple[int, ...] | None] = {}
     odd_centrals: list[tuple[int, ...]] = []  # one entry per completed odd element
-    nodes = 0
+    marks: list[int] = []  # len(odd_centrals) before each placed label
 
     def lookup(elem: list[int]):
         labels = [assignment[u] for u in elem]
@@ -447,46 +479,41 @@ def search_labeling(
 
     unit_reps = {d for d in range(1, n) if n % d == 0} if unit_symmetry else None
 
-    def extend(depth: int) -> bool:
-        nonlocal nodes
-        if depth == n:
-            return True
-        v = var_order[depth]
+    def moves() -> list[int]:
+        depth = len(assignment)
         if depth == 0:
-            labels = [0]
-        elif depth == 1 and unit_reps is not None:
-            labels = [x for x in range(n) if not used_labels[x] and x in unit_reps]
+            return [0]
+        if depth == 1 and unit_reps is not None:
+            return [x for x in range(n) if not used_labels[x] and x in unit_reps]
+        return [x for x in range(n) if not used_labels[x]]
+
+    def place(lab: int) -> bool:
+        depth = len(assignment)
+        assignment[var_order[depth]] = lab
+        mark = len(odd_centrals)
+        for ei in completed_at[depth]:
+            centrals = lookup(indexed[ei])
+            if centrals is None:
+                break
+            if centrals:
+                odd_centrals.append(centrals)
         else:
-            labels = [x for x in range(n) if not used_labels[x]]
-        for lab in labels:
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(budget)
-            assignment[v] = lab
-            used_labels[lab] = True
-            ok = True
-            added = 0
-            for ei in completed_at[depth]:
-                centrals = lookup(indexed[ei])
-                if centrals is None:
-                    ok = False
-                    break
-                if centrals:
-                    odd_centrals.append(centrals)
-                    added += 1
-            if ok and added:
-                ok = _distinct_representatives(odd_centrals) is not None
-            if ok and extend(depth + 1):
+            if len(odd_centrals) == mark or (
+                _distinct_representatives(odd_centrals) is not None
+            ):
+                used_labels[lab] = True
+                marks.append(mark)
                 return True
-            del odd_centrals[len(odd_centrals) - added :]
-            used_labels[lab] = False
-            del assignment[v]
+        del odd_centrals[mark:]
+        assignment.popitem()
         return False
 
-    try:
-        found = extend(0)
-    finally:
-        del extend  # a self-referencing closure; free the search state now
+    def unplace(lab: int) -> None:
+        del odd_centrals[marks.pop() :]
+        used_labels[lab] = False
+        assignment.popitem()
+
+    found, _ = _backtrack(moves, place, unplace, n, budget)
     if not found:
         return None
     labeling = Labeling(tuple((order[v], assignment[v]) for v in range(n)))

@@ -36,7 +36,11 @@ from .errors import (
 )
 from .fixtures import fixture, random_decomposition
 from .model import CliqueDecomposition, check_proper
-from .oracle import enumerate_decompositions, exact_chromatic_index
+from .oracle import (
+    DEFAULT_COLORING_BUDGET,
+    enumerate_decompositions,
+    exact_chromatic_index,
+)
 from .hypergraph import (
     decomposition_to_quasicluster,
     quasicluster_to_decomposition,
@@ -46,8 +50,7 @@ SWEEP_EXHAUSTIVE_LIMIT = 5
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         report, text, code = args.handler(args)
     except ParseError as exc:
@@ -90,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labeling", choices=("given", "search"), default="given")
     p.add_argument("--explain", action="store_true", help="append per-element derivations")
     p.add_argument("--out", help="write the coloring file here instead of stdout")
-    p.add_argument("--budget", type=_budget, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--budget", type=_count, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_color)
 
@@ -102,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi", help="exact chromatic index with witness")
     p.add_argument("path")
-    p.add_argument("--budget", type=_budget, default=5_000_000)
+    p.add_argument("--budget", type=_count, default=DEFAULT_COLORING_BUDGET)
     p.add_argument("--out", help="write the witness coloring file here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_chi)
@@ -115,17 +118,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_convert)
 
     p = sub.add_parser("sweep", help="bound check over many instances")
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_order, required=True)
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
-    p.add_argument("--count", type=int, default=20, help="instances per n in random mode")
+    p.add_argument("--count", type=_count, default=20, help="instances per n in random mode")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=_budget, default=200_000, help="labeling-search node budget")
+    p.add_argument("--budget", type=_count, default=200_000, help="labeling-search node budget")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("generate", help="write a named fixture instance")
     p.add_argument("name")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_order)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.add_argument("--json", action="store_true")
@@ -134,14 +137,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _budget(text: str) -> int:
-    """argparse type of ``--budget``: a node count, zero or more."""
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _count(text: str) -> int:
+    """argparse type of ``--budget`` and ``--count``: zero or more."""
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
+def _order(text: str) -> int:
+    """argparse type of ``--n`` and ``--n-max``: at most ``files.MAX_ORDER``."""
+    value = _int(text)
+    if value > files.MAX_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {files.MAX_ORDER}, got {value}"
+        )
     return value
 
 
@@ -444,6 +461,8 @@ def _cmd_generate(args):
     }
     return report, _output(out_text, args.out), 0
 
+
+_PARSER = _build_parser()  # built once, reused by every call of main
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -30,6 +30,12 @@ from .fixtures import complete_with_pairs
 from .hypergraph import Quasicluster, validate_quasicluster
 from .model import CliqueDecomposition, validate_decomposition
 
+# Largest order n (for hypergraphs: edge count) read from a file or the
+# command line. Validation looks at all n(n-1)/2 pairs of K_n, so cost grows
+# as n^2: rejecting a one-element instance took 0.5 s and 51 MB at n = 500
+# and 2.8 s and 157 MB at n = 1000 (2-core Xeon VM).
+MAX_ORDER = 500
+
 
 @dataclass(frozen=True)
 class ColoringDoc:
@@ -59,6 +65,18 @@ def _int_token(token: str, lineno: int, raw: str, what: str) -> int:
         )
 
 
+def _size_token(token: str, lineno: int, raw: str, what: str) -> int:
+    """A header's order or edge count: an integer in 2..MAX_ORDER."""
+    value = _int_token(token, lineno, raw, what)
+    if value < 2:
+        bound = "at least 2"
+    elif value > MAX_ORDER:
+        bound = f"at most {MAX_ORDER}"
+    else:
+        return value
+    raise ParseError(lineno, _column(raw, token), f"{what} must be {bound}, got {value}")
+
+
 def parse_instance(text: str) -> CliqueDecomposition:
     """Parse and validate an instance file."""
     n: int | None = None
@@ -72,10 +90,7 @@ def parse_instance(text: str) -> CliqueDecomposition:
                 raise ParseError(lineno, 1, "duplicate header line")
             if len(tokens) != 2:
                 raise ParseError(lineno, 1, "header must be exactly 'n <int>'")
-            n = _int_token(tokens[1], lineno, raw, "order")
-            if n < 2:
-                column = _column(raw, tokens[1])
-                raise ParseError(lineno, column, f"order must be at least 2, got {n}")
+            n = _size_token(tokens[1], lineno, raw, "order")
         elif keyword == "element":
             if n is None:
                 raise ParseError(lineno, 1, "element before the 'n <int>' header")
@@ -147,12 +162,7 @@ def parse_hypergraph(text: str) -> tuple[tuple[str, ...], Quasicluster]:
         if tokens[0] == "edges":
             if len(tokens) != 2:
                 raise ParseError(lineno, 1, "header must be 'edges <int>'")
-            declared = _int_token(tokens[1], lineno, raw, "edge count")
-            if declared < 2:
-                column = _column(raw, tokens[1])
-                raise ParseError(
-                    lineno, column, f"edge count must be at least 2, got {declared}"
-                )
+            declared = _size_token(tokens[1], lineno, raw, "edge count")
         elif tokens[0] == "edge":
             if len(tokens) < 4 or tokens[2] != ":":
                 raise ParseError(

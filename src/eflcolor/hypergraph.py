@@ -64,12 +64,14 @@ Quasicluster = Hypergraph
 
 @dataclass(frozen=True)
 class Correspondence:
-    """Both sides of the bijection plus the index maps between them."""
+    """Both sides of the bijection and the element -> hypergraph vertex map.
+
+    The other map needs no table: K_n vertex v is always edge v.
+    """
 
     decomposition: CliqueDecomposition
     quasicluster: "Hypergraph"
     element_to_vertex: Mapping[int, HVertex] = field(hash=False)
-    vertex_to_edge: Mapping[int, int] = field(hash=False)
 
 
 @dataclass(frozen=True)
@@ -147,7 +149,6 @@ def decomposition_to_quasicluster(
         decomposition=d,
         quasicluster=h,
         element_to_vertex={i: i for i in range(len(d.elements))},
-        vertex_to_edge={v: v for v in range(d.n)},
     )
     return h, corr
 
@@ -165,7 +166,6 @@ def quasicluster_to_decomposition(
         decomposition=d,
         quasicluster=h,
         element_to_vertex={i: u for i, u in enumerate(vertex_order)},
-        vertex_to_edge={j: j for j in range(n)},
     )
     return d, corr
 

@@ -76,9 +76,6 @@ class ConflictGraph:
     def edges(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self.shared_vertex))
 
-    def degree(self, i: int) -> int:
-        return len(self.neighbors[i])
-
 
 @dataclass(frozen=True)
 class Verdict:

@@ -18,9 +18,10 @@ from .arithmetic import (
     Labeling,
     VertexId,
     _abstract_structure,
+    _backtrack,
     find_certificate,
 )
-from .errors import BudgetExceededError, TooLargeError
+from .errors import TooLargeError
 from .model import CliqueDecomposition, Element, intersection_graph
 
 ENUMERATION_LIMIT = 6
@@ -131,57 +132,38 @@ def _exact_color_graph(
     if m == 0:
         return 0, (), 0
     neighbor_sets = [frozenset(ns) for ns in neighbors]
+    colors = [-1] * m  # -1 while uncolored, so max(colors) is the top color used
+
+    def moves() -> list[tuple[int, int]]:
+        best_v = -1
+        best_key = None
+        for v in range(m):
+            if colors[v] >= 0:
+                continue
+            sat = len({colors[u] for u in neighbor_sets[v] if colors[u] >= 0})
+            key = (-sat, -len(neighbor_sets[v]), v)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_v = v
+        forbidden = {colors[u] for u in neighbor_sets[best_v] if colors[u] >= 0}
+        limit = min(max(colors) + 1, k - 1)
+        return [(best_v, c) for c in range(limit + 1) if c not in forbidden]
+
+    def place(move: tuple[int, int]) -> bool:
+        v, c = move
+        colors[v] = c
+        return True
+
+    def unplace(move: tuple[int, int]) -> None:
+        colors[move[0]] = -1
+
     nodes = 0
-
-    def try_k(k: int) -> list[int] | None:
-        nonlocal nodes
-        colors = [-1] * m
-
-        def choose() -> int:
-            best_v = -1
-            best_key = None
-            for v in range(m):
-                if colors[v] >= 0:
-                    continue
-                sat = len({colors[u] for u in neighbor_sets[v] if colors[u] >= 0})
-                key = (-sat, -len(neighbor_sets[v]), v)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_v = v
-            return best_v
-
-        def descend(assigned: int, max_used: int) -> bool:
-            nonlocal nodes
-            if assigned == m:
-                return True
-            v = choose()
-            forbidden = {colors[u] for u in neighbor_sets[v] if colors[u] >= 0}
-            limit = min(max_used + 1, k - 1)
-            for c in range(limit + 1):
-                if c in forbidden:
-                    continue
-                nodes += 1
-                if nodes > budget:
-                    raise BudgetExceededError(budget)
-                colors[v] = c
-                if descend(assigned + 1, max(max_used, c)):
-                    return True
-                colors[v] = -1
-            return False
-
-        try:
-            return colors if descend(0, -1) else None
-        finally:
-            # descend refers to itself through its closure; breaking that
-            # cycle frees this attempt's state now, not at the next GC pass
-            del descend
-
-    witness = tuple(upper_witness)
     for k in range(lower, upper):
-        result = try_k(k)
-        if result is not None:
-            return k, tuple(result), nodes
-    return upper, witness, nodes
+        # a failed attempt unplaces every color, so the next starts blank
+        found, nodes = _backtrack(moves, place, unplace, m, budget, nodes)
+        if found:
+            return k, tuple(colors), nodes
+    return upper, tuple(upper_witness), nodes
 
 
 def exact_chromatic_index(

@@ -1,6 +1,8 @@
 """k-arithmetic detection, certificates, and the labeling search."""
 
+import inspect
 import random
+import sys
 from itertools import combinations, permutations, product
 from types import SimpleNamespace
 
@@ -548,3 +550,21 @@ class TestFindCertificateFamilies:
     def test_trivial_edges_and_near_pencil(self, n):
         for d in (trivial_edges(n), near_pencil(n)):
             assert find_certificate(d) == backtracking_certificate(d)
+
+
+class TestDeepSearch:
+    """The search keeps its own stack, so Python's recursion limit does not
+    bound how many vertices it can label."""
+
+    def test_forty_vertices_under_a_shallow_recursion_limit(self):
+        d = random_decomposition(40, 0)
+        abstract = [[f"v{x}" for x in elem.vertices] for elem in d.elements]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+        try:
+            found = search_labeling(40, abstract, budget=20_000)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert found is not None
+        labeling, cert = found
+        assert check_certificate(apply_labeling(40, abstract, labeling), cert)

@@ -1,5 +1,6 @@
 """Exit codes, output formats and determinism of the command-line tool."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from eflcolor import cli, files, trivial_edges
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -211,6 +214,65 @@ class TestBudget:
     def test_non_integer_budget_message_unchanged(self, e3):
         proc = run_cli("chi", e3, "--budget", "x", expect=2)
         assert "argument --budget: invalid int value: 'x'" in proc.stderr
+
+
+class TestSizeCaps:
+    """Orders above files.MAX_ORDER and negative counts are usage errors."""
+
+    def test_instance_order_above_cap_exit_2(self, tmp_path):
+        big = tmp_path / "big.txt"
+        big.write_text("n 501\nelement 0 1\n")
+        proc = run_cli("color", str(big), expect=2)
+        assert "line 1, column 3: order must be at most 500, got 501" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_hypergraph_edges_above_cap_exit_2(self, tmp_path):
+        big = tmp_path / "big.txt"
+        big.write_text("edges 501\n")
+        proc = run_cli("validate", str(big), "--hypergraph", expect=2)
+        assert "line 1, column 7: edge count must be at most 500, got 501" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (("generate", "trivial_edges", "--n", "501"), "--n"),
+            (("sweep", "--n-max", "501", "--mode", "random", "--count", "0"), "--n-max"),
+        ],
+    )
+    def test_order_option_above_cap_is_usage_error(self, args, option):
+        proc = run_cli(*args, expect=2)
+        assert "usage:" in proc.stderr
+        assert f"argument {option}: must be at most 500, got 501" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_negative_count_is_usage_error(self):
+        proc = run_cli("sweep", "--n-max", "3", "--mode", "random", "--count", "-2", expect=2)
+        assert "argument --count: must not be negative, got -2" in proc.stderr
+        assert proc.stdout == ""
+
+
+class TestInProcess:
+    """``cli.main`` called repeatedly in one interpreter."""
+
+    def test_each_call_gets_its_own_defaults(self, k9, capsys):
+        assert cli.main(["color", str(k9), "--labeling", "search", "--budget", "0"]) == 4
+        assert "search budget of 0 nodes exceeded" in capsys.readouterr().err
+        assert cli.main(["color", str(k9)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("colors-used 9\ncolor 0 6\n")
+        assert "labeling" not in out
+
+    def test_chi_deeper_than_recursion_limit_exit_4(self, tmp_path, capsys):
+        inst = tmp_path / "e13.txt"
+        inst.write_text(files.serialize_instance(trivial_edges(13)))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+        try:
+            code = cli.main(["chi", str(inst), "--budget", "2000"])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 4
+        assert capsys.readouterr().err == "error: search budget of 2000 nodes exceeded\n"
 
 
 class TestChi:

@@ -13,6 +13,7 @@ from eflcolor import (
 )
 from eflcolor.fixtures import complete_with_pairs
 from eflcolor.files import (
+    MAX_ORDER,
     parse_coloring,
     parse_hypergraph,
     parse_instance,
@@ -77,6 +78,12 @@ class TestInstanceFormat:
         with pytest.raises(ParseError):
             parse_instance("n 3\nvertex 0\n")
 
+    def test_order_above_cap_rejected_before_expansion(self):
+        with pytest.raises(ParseError) as exc:
+            parse_instance("n 100000\nauto-edges\n")
+        assert (exc.value.line, exc.value.column) == (1, 3)
+        assert f"order must be at most {MAX_ORDER}, got 100000" in str(exc.value)
+
 
 class TestColoringFormat:
     def test_round_trip(self):
@@ -123,6 +130,16 @@ class TestHypergraphFormat:
             parse_hypergraph(f"# none\nedges  {count}\n")
         assert (exc.value.line, exc.value.column) == (2, 8)
         assert f"edge count must be at least 2, got {count}" in str(exc.value)
+
+    def test_edge_count_above_cap(self):
+        with pytest.raises(ParseError) as exc:
+            parse_hypergraph(f"edges {MAX_ORDER + 1}\n")
+        assert (exc.value.line, exc.value.column) == (1, 7)
+        assert f"edge count must be at most {MAX_ORDER}, got {MAX_ORDER + 1}" in str(
+            exc.value
+        )
+        with pytest.raises(ParseError, match=f"declares {MAX_ORDER} edges, found 0"):
+            parse_hypergraph(f"edges {MAX_ORDER}\n")
 
     def test_malformed_edge_line(self):
         with pytest.raises(ParseError):

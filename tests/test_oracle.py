@@ -1,10 +1,13 @@
 """Exact chromatic index, enumeration, and the full-sweep labeling oracle."""
 
+import inspect
+import sys
 from itertools import product
 
 import pytest
 
 from eflcolor import (
+    BudgetExceededError,
     TooLargeError,
     check_proper,
     enumerate_decompositions,
@@ -108,6 +111,22 @@ class TestExactWitnesses:
             d = random_decomposition(12, int(name.rsplit("_", 1)[1]))
         result = exact_chromatic_index(d)
         assert (result.chi, result.nodes_explored, result.witness) == WITNESSES[name]
+
+
+class TestDeepColoring:
+    """The exact colorer keeps its own stack, so Python's recursion limit does
+    not bound how many elements it can color."""
+
+    def test_budget_out_under_a_shallow_recursion_limit(self):
+        d = trivial_edges(13)  # 78 elements
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+        try:
+            with pytest.raises(BudgetExceededError) as exc:
+                exact_chromatic_index(d, budget=2000)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert exc.value.budget == 2000
 
 
 class TestGreedy:
