@@ -144,11 +144,6 @@ class Labeling:
         return [[table[v] for v in elem] for elem in elements]
 
 
-def central_vertex(p: Progression) -> int:
-    """Middle term of an odd-length progression."""
-    return p.central
-
-
 def arithmetic_orderings(
     vertices: Iterable[int], step: int, n: int
 ) -> tuple[Progression, ...]:

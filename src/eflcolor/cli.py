@@ -49,14 +49,15 @@ from .hypergraph import (
 SWEEP_EXHAUSTIVE_LIMIT = 5
 
 
+class UsageError(Exception):
+    """Options that argparse accepts one by one but not together (exit 2)."""
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         report, text, code = args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, OSError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:
@@ -320,9 +321,12 @@ def _cmd_verify(args):
 
 def _cmd_chi(args):
     d = files.parse_instance(_read(args.path))
-    result = exact_chromatic_index(d, budget=args.budget)
     certified = _certify(d, "given", args.budget)
-    theorem_colors = None if certified is None else certified[0].colors_used
+    if certified is None:
+        theorem_colors = hint = None
+    else:
+        theorem_colors, hint = certified[0].colors_used, certified[0].coloring
+    result = exact_chromatic_index(d, budget=args.budget, upper_hint=hint)
     comments = [
         f"chi {result.chi}",
         f"n {d.n}",
@@ -371,7 +375,7 @@ def _cmd_convert(args):
 def _sweep_instances(args):
     if args.mode == "exhaustive":
         if args.n_max > SWEEP_EXHAUSTIVE_LIMIT:
-            raise ParseError(1, 1, f"exhaustive sweeps stop at n={SWEEP_EXHAUSTIVE_LIMIT}")
+            raise UsageError(f"exhaustive sweeps stop at n={SWEEP_EXHAUSTIVE_LIMIT}")
         for n in range(2, args.n_max + 1):
             for idx, d in enumerate(enumerate_decompositions(n)):
                 yield n, idx, d

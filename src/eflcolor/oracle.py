@@ -58,7 +58,7 @@ def _greedy_on_order(
 
 
 def _iterated_greedy(
-    neighbors: Sequence[Sequence[int]], rounds: int = 80
+    neighbors: Sequence[Sequence[int]], rounds: int = 80, floor: int = 0
 ) -> tuple[int, ...]:
     """Greedy re-coloring along permuted color classes; never gets worse.
 
@@ -66,6 +66,10 @@ def _iterated_greedy(
     or lower the class count, so cycling through a fixed schedule of class
     orders (ascending size, descending size, seeded rotations) gives a strong
     and fully deterministic upper bound.
+
+    The rounds stop early once the best coloring uses ``floor`` colors. With
+    ``floor`` a valid lower bound that changes nothing: the best coloring is
+    replaced only by one with strictly fewer colors, and none exists.
     """
     m = len(neighbors)
     if m == 0:
@@ -76,6 +80,8 @@ def _iterated_greedy(
     best = dict(colors)
     state = 12345
     for r in range(rounds):
+        if len(set(best.values())) <= floor:
+            break
         k = len(set(colors.values()))
         classes: list[list[int]] = [[] for _ in range(k)]
         for v in range(m):
@@ -166,24 +172,60 @@ def _exact_color_graph(
     return upper, tuple(upper_witness), nodes
 
 
+def _lower_bound(neighbors: Sequence[Sequence[int]], n: int) -> int:
+    """The larger of the clique and packing bounds of ``exact_chromatic_index``."""
+    packing_bound = -(-len(neighbors) // (n // 2))
+    return max(1, len(_greedy_clique(neighbors)), packing_bound)
+
+
+def _checked_hint(
+    neighbors: Sequence[Sequence[int]], hint: Sequence[int]
+) -> tuple[int, ...]:
+    """``hint`` renumbered 0..k-1 by first appearance; ValueError unless it
+    is a proper coloring of the conflict graph ``neighbors``."""
+    if len(hint) != len(neighbors):
+        raise ValueError(
+            f"upper hint has {len(hint)} entries for {len(neighbors)} elements"
+        )
+    for i, ns in enumerate(neighbors):
+        for j in ns:
+            if hint[i] == hint[j]:
+                raise ValueError(f"upper hint gives elements {i},{j} one color")
+    renumber: dict[int, int] = {}
+    return tuple(renumber.setdefault(c, len(renumber)) for c in hint)
+
+
 def exact_chromatic_index(
-    d: CliqueDecomposition, budget: int = DEFAULT_COLORING_BUDGET
+    d: CliqueDecomposition,
+    budget: int = DEFAULT_COLORING_BUDGET,
+    upper_hint: Sequence[int] | None = None,
 ) -> ExactResult:
     """Exact chromatic index of a decomposition, with an optimal witness.
 
     Lower bounds: a greedy maximal clique in the conflict graph, and the
     packing bound ceil(m / floor(n/2)), valid because pairwise disjoint
-    elements of order >= 2 cannot number more than floor(n/2). The search
-    closes whatever gap remains to the greedy upper bound.
+    elements of order >= 2 cannot number more than floor(n/2). The upper
+    bound is the iterated greedy coloring, whose rounds stop as soon as it
+    meets the lower bound. The search closes whatever gap remains.
+
+    ``upper_hint`` is a second upper bound: any coloring of the elements,
+    such as the n-coloring of an arithmetic certificate. It must be proper
+    and have one entry per element, else ValueError. It replaces the greedy
+    witness only when it uses strictly fewer colors, renumbered 0..k-1 in
+    order of first appearance; otherwise the result is the unhinted one.
+    ``sweep`` and the tests that check chi <= n call this without a hint, so
+    that check stays independent of the construction it checks.
     """
     graph = intersection_graph(d)
     m = graph.node_count
+    if upper_hint is not None:
+        upper_hint = _checked_hint(graph.neighbors, upper_hint)
     if m == 0:
         return ExactResult(0, (), 0)
-    upper_witness = _iterated_greedy(graph.neighbors)
-    clique_bound = len(_greedy_clique(graph.neighbors))
-    packing_bound = -(-m // (d.n // 2))
-    lower = max(1, clique_bound, packing_bound)
+    lower = _lower_bound(graph.neighbors, d.n)
+    upper_witness = _iterated_greedy(graph.neighbors, floor=lower)
+    if upper_hint is not None and len(set(upper_hint)) < len(set(upper_witness)):
+        upper_witness = upper_hint
     chi, witness, nodes = _exact_color_graph(graph.neighbors, lower, upper_witness, budget)
     return ExactResult(chi, witness, nodes)
 

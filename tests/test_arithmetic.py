@@ -20,7 +20,6 @@ from eflcolor import (
     SplitCertificate,
     apply_labeling,
     arithmetic_orderings,
-    central_vertex,
     check_certificate,
     element_options,
     enumerate_decompositions,
@@ -207,13 +206,13 @@ class TestElementOptions:
 
 class TestCentralVertex:
     def test_values(self):
-        assert central_vertex(Progression(0, 3, 3, 9)) == 3
-        assert central_vertex(Progression(8, 2, 3, 9)) == 1
-        assert central_vertex(Progression(5, 1, 1, 9)) == 5
+        assert Progression(0, 3, 3, 9).central == 3
+        assert Progression(8, 2, 3, 9).central == 1
+        assert Progression(5, 1, 1, 9).central == 5
 
     def test_even_length_rejected(self):
         with pytest.raises(EvenLengthError):
-            central_vertex(Progression(0, 1, 4, 9))
+            Progression(0, 1, 4, 9).central
 
 
 class TestFindCertificate:

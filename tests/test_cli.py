@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from eflcolor import cli, files, trivial_edges
+from eflcolor import check_proper, cli, files, random_decomposition, trivial_edges
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -263,8 +263,9 @@ class TestInProcess:
         assert "labeling" not in out
 
     def test_chi_deeper_than_recursion_limit_exit_4(self, tmp_path, capsys):
-        inst = tmp_path / "e13.txt"
-        inst.write_text(files.serialize_instance(trivial_edges(13)))
+        # 84 elements and no certificate under the given labels, so no hint
+        inst = tmp_path / "r24.txt"
+        inst.write_text(files.serialize_instance(random_decomposition(24, 800875)))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack(0)) + 40)
         try:
@@ -294,6 +295,20 @@ class TestChi:
         assert report["chi"] <= 9
         assert report["within_n"] is True
         assert report["certificate_colors"] == 9
+
+    @pytest.mark.parametrize("n", [13, 15, 17, 19, 21])
+    def test_odd_trivial_edges_decided_by_certificate(self, n, tmp_path, capsys):
+        # the lower bound is n and the certificate colors with n colors, so
+        # chi is decided without search
+        d = trivial_edges(n)
+        inst = tmp_path / f"e{n}.txt"
+        inst.write_text(files.serialize_instance(d))
+        assert cli.main(["chi", str(inst), "--budget", "2000", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["chi"] == n
+        assert report["nodes_explored"] == 0
+        assert check_proper(d, report["witness"]).ok
+        assert sorted(set(report["witness"])) == list(range(n))
 
 
 class TestConvert:
@@ -333,6 +348,12 @@ class TestSweep:
 
     def test_exhaustive_limit(self):
         run_cli("sweep", "--n-max", "6", "--mode", "exhaustive", expect=2)
+
+    def test_exhaustive_limit_is_a_usage_error(self, capsys):
+        assert cli.main(["sweep", "--n-max", "6", "--mode", "exhaustive"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: exhaustive sweeps stop at n=5\n"
+        assert captured.out == ""
 
     def test_random_deterministic(self):
         args = ("sweep", "--n-max", "5", "--mode", "random", "--count", "4", "--seed", "9")

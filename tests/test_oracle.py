@@ -10,9 +10,11 @@ from eflcolor import (
     BudgetExceededError,
     TooLargeError,
     check_proper,
+    color_decomposition,
     enumerate_decompositions,
     exact_chromatic_index,
     exhaustive_labeling_oracle,
+    find_certificate,
     fixture,
     greedy_coloring,
     near_pencil,
@@ -21,7 +23,8 @@ from eflcolor import (
     trivial_edges,
     validate_decomposition,
 )
-from eflcolor.oracle import partition_cover_count
+from eflcolor.model import intersection_graph
+from eflcolor.oracle import _iterated_greedy, _lower_bound, partition_cover_count
 
 
 def brute_chi(d):
@@ -127,6 +130,57 @@ class TestDeepColoring:
         finally:
             sys.setrecursionlimit(limit)
         assert exc.value.budget == 2000
+
+
+def fixtures_and_random(n_max, seeds):
+    """The named fixtures, then ``random_decomposition(n, seed)`` for
+    n = 4..n_max and seed < seeds, as test parameters."""
+    names = ("paper_k9", "fano_k7", "sts9_k9")
+    named = [pytest.param(fixture(name), id=name) for name in names]
+    return named + [
+        pytest.param(random_decomposition(n, seed), id=f"random_{n}_{seed}")
+        for n in range(4, n_max + 1)
+        for seed in range(seeds)
+    ]
+
+
+class TestUpperHint:
+    def test_improper_hint_rejected(self):
+        d = fixture("paper_k9")
+        with pytest.raises(ValueError, match="one color"):
+            exact_chromatic_index(d, upper_hint=[0] * len(d.elements))
+
+    def test_wrong_length_rejected(self):
+        d = fixture("paper_k9")
+        witness = exact_chromatic_index(d).witness
+        for hint in (witness[:-1], witness + (max(witness) + 1,)):
+            with pytest.raises(ValueError, match="entries for 22 elements"):
+                exact_chromatic_index(d, upper_hint=hint)
+
+    @pytest.mark.parametrize("d", fixtures_and_random(20, 2))
+    def test_hint_not_better_changes_nothing(self, d):
+        unhinted = exact_chromatic_index(d)
+        greedy = greedy_coloring(d)
+        for hint in (greedy, [c + 7 for c in greedy], unhinted.witness):
+            assert exact_chromatic_index(d, upper_hint=hint) == unhinted
+
+    def test_certificate_coloring_decides_odd_trivial_edges(self):
+        d = trivial_edges(13)  # unhinted, this runs out of budget
+        coloring = color_decomposition(d, find_certificate(d)).coloring
+        result = exact_chromatic_index(d, budget=2000, upper_hint=coloring)
+        assert (result.chi, result.nodes_explored) == (13, 0)
+        first_seen = list(dict.fromkeys(coloring))
+        assert result.witness == tuple(first_seen.index(c) for c in coloring)
+
+
+class TestGreedyFloor:
+    """Stopping the greedy rounds at the lower bound changes no witness."""
+
+    @pytest.mark.parametrize("d", fixtures_and_random(25, 8))
+    def test_floor_keeps_witness(self, d):
+        neighbors = intersection_graph(d).neighbors
+        lower = _lower_bound(neighbors, d.n)
+        assert _iterated_greedy(neighbors, floor=lower) == _iterated_greedy(neighbors)
 
 
 class TestGreedy:
