@@ -13,7 +13,7 @@ d = fixture("paper_k9")
 scramble = {v: f"node{(5 * v + 3) % 9}" for v in range(9)}
 abstract = [tuple(scramble[v] for v in e.vertices) for e in d.elements]
 found = search_labeling(9, abstract)
-labeling, cert = found
+labeling, _, cert = found
 print("scrambled worked example relabeled successfully:")
 print("  ", " ".join(f"{v}->{x}" for v, x in labeling.assignment))
 print("   centrals:", [c for _, c in cert.centrals])

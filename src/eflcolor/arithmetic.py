@@ -135,10 +135,6 @@ class Labeling:
     def mapping(self) -> dict[VertexId, int]:
         return dict(self.assignment)
 
-    @property
-    def n(self) -> int:
-        return len(self.assignment)
-
     def apply(self, elements: Iterable[Iterable[VertexId]]) -> list[list[int]]:
         table = self.mapping
         return [[table[v] for v in elem] for elem in elements]
@@ -390,7 +386,7 @@ def search_labeling(
     elements: Sequence[Sequence[VertexId]],
     budget: int = DEFAULT_NODE_BUDGET,
     unit_symmetry: bool = False,
-) -> tuple[Labeling, ArithmeticCertificate] | None:
+) -> tuple[Labeling, CliqueDecomposition, ArithmeticCertificate] | None:
     """Find a bijection onto Z_n making the decomposition arithmetic.
 
     Backtracks over partial vertex assignments. A branch dies as soon as a
@@ -421,8 +417,11 @@ def search_labeling(
     by default because the returned labeling is then no longer the first in
     plain branch order.
 
-    Raises BudgetExceededError when the node budget runs out, leaving the
-    question open rather than answering it.
+    A found labeling comes back as ``(labeling, relabeled, certificate)``:
+    the bijection, the decomposition relabeled through it (as
+    ``apply_labeling`` builds it), and the certificate of that relabeled
+    decomposition. Raises BudgetExceededError when the node budget runs
+    out, leaving the question open rather than answering it.
     """
     order, indexed = _abstract_structure(n, elements)
     m = len(indexed)
@@ -512,15 +511,13 @@ def search_labeling(
     if not found:
         return None
     labeling = Labeling(tuple((order[v], assignment[v]) for v in range(n)))
-    relabeled = validate_decomposition(
-        n, [[assignment[v] for v in elem] for elem in indexed]
-    )
+    relabeled = apply_labeling(n, elements, labeling)
     cert = find_certificate(relabeled)
     if cert is None:
         raise TheoremViolationError(
             (), "labeling search accepted a labeling that has no certificate"
         )
-    return labeling, cert
+    return labeling, relabeled, cert
 
 
 def apply_labeling(

@@ -20,16 +20,12 @@ import json
 import sys
 
 from . import files
-from .arithmetic import (
-    DEFAULT_NODE_BUDGET,
-    apply_labeling,
-    find_certificate,
-    search_labeling,
-)
+from .arithmetic import DEFAULT_NODE_BUDGET, find_certificate, search_labeling
 from .coloring import ColoredDecomposition, color_decomposition, explain_element
 from .errors import (
     BudgetExceededError,
     ParseError,
+    TheoremViolationError,
     UnknownFixtureError,
     ValidationError,
     VertexInOneElementError,
@@ -50,7 +46,9 @@ SWEEP_EXHAUSTIVE_LIMIT = 5
 
 
 class UsageError(Exception):
-    """Options that argparse accepts one by one but not together (exit 2)."""
+    """Bad usage with no file position to report (exit 2): options that
+    argparse accepts one by one but not together, an unknown fixture, or
+    two files that are each well formed but do not belong together."""
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -64,6 +62,9 @@ def main(argv: list[str] | None = None) -> int:
         print("invalid input:", file=sys.stderr)
         for violation in exc.violations:
             print(f"  {violation}", file=sys.stderr)
+        return 1
+    except TheoremViolationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -202,8 +203,7 @@ def _certify(
     found = search_labeling(d.n, abstract, budget=budget)
     if found is None:
         return None
-    chosen, cert = found
-    relabeled = apply_labeling(d.n, abstract, chosen)
+    chosen, relabeled, cert = found
     return color_decomposition(relabeled, cert), chosen.assignment
 
 
@@ -296,15 +296,8 @@ def _cmd_verify(args):
     d = files.parse_instance(_read(args.instance))
     doc = files.parse_coloring(_read(args.coloring))
     if sorted(doc.assignment) != list(range(len(d.elements))):
-        raise ParseError(1, 1, "coloring does not match the instance's element indices")
+        raise UsageError("coloring does not match the instance's element indices")
     coloring = [doc.assignment[i] for i in range(len(d.elements))]
-    if doc.colors_used != len(set(coloring)):
-        raise ParseError(
-            1,
-            1,
-            f"coloring declares colors-used {doc.colors_used}"
-            f" but uses {len(set(coloring))} colors",
-        )
     verdict = check_proper(d, coloring)
     report = {
         "command": "verify",
@@ -449,11 +442,9 @@ def _cmd_generate(args):
     try:
         d = fixture(args.name, n=args.n, seed=args.seed)
     except UnknownFixtureError:
-        print(f"error: unknown fixture {args.name!r}", file=sys.stderr)
-        return {"command": "generate", "ok": False}, [], 2
+        raise UsageError(f"unknown fixture {args.name!r}")
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return {"command": "generate", "ok": False}, [], 2
+        raise UsageError(str(exc))
     out_text = files.serialize_instance(d)
     report = {
         "command": "generate",

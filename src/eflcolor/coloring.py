@@ -112,13 +112,12 @@ def explain_element(index: int, cert: ElementCertificate) -> str:
 def color_decomposition(
     d: CliqueDecomposition,
     cert: ArithmeticCertificate,
-    verify: bool = True,
 ) -> ColoredDecomposition:
     """Color every element by its certificate entry.
 
-    With ``verify`` (the default) the result is checked for properness; a
-    failure raises TheoremViolationError with the full conflict list, which
-    signals a bug or a corrupted certificate, never an expected outcome.
+    The result is checked for properness; a failure raises
+    TheoremViolationError with the full conflict list, which signals a bug
+    or a corrupted certificate, never an expected outcome.
     """
     if len(cert.entries) != len(d.elements):
         raise ValueError(
@@ -126,10 +125,9 @@ def color_decomposition(
             f" {len(d.elements)} elements"
         )
     coloring = tuple(element_color(entry) for entry in cert.entries)
-    if verify:
-        verdict = check_proper(d, coloring)
-        if not verdict.ok:
-            raise TheoremViolationError(verdict.conflicts)
+    verdict = check_proper(d, coloring)
+    if not verdict.ok:
+        raise TheoremViolationError(verdict.conflicts)
     colors_used = len(set(coloring))
     if colors_used > d.n:
         raise TheoremViolationError(

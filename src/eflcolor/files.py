@@ -23,6 +23,7 @@ Hypergraph file::
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -54,6 +55,11 @@ def _content_lines(text: str):
 
 def _column(raw: str, token: str) -> int:
     return max(raw.find(token) + 1, 1)
+
+
+def _token_column(raw: str, i: int) -> int:
+    """Column of the i-th whitespace-separated token of a content line."""
+    return [m.start() for m in re.finditer(r"\S+", raw)][i] + 1
 
 
 def _int_token(token: str, lineno: int, raw: str, what: str) -> int:
@@ -120,6 +126,7 @@ def serialize_instance(d: CliqueDecomposition, comments: tuple[str, ...] = ()) -
 
 
 def parse_coloring(text: str) -> ColoringDoc:
+    """Parse a coloring file whose header counts the colors it assigns."""
     declared: int | None = None
     assignment: dict[int, int] = {}
     for lineno, line, raw in _content_lines(text):
@@ -128,6 +135,7 @@ def parse_coloring(text: str) -> ColoringDoc:
             if len(tokens) != 2:
                 raise ParseError(lineno, 1, "header must be 'colors-used <int>'")
             declared = _int_token(tokens[1], lineno, raw, "count")
+            declared_at = (lineno, _token_column(raw, 1))
         elif tokens[0] == "color":
             if len(tokens) != 3:
                 raise ParseError(lineno, 1, "color line is 'color <element> <color>'")
@@ -140,6 +148,12 @@ def parse_coloring(text: str) -> ColoringDoc:
             raise ParseError(lineno, 1, f"unknown directive {tokens[0]!r}")
     if declared is None:
         raise ParseError(1, 1, "missing 'colors-used <int>' header")
+    used = len(set(assignment.values()))
+    if declared != used:
+        raise ParseError(
+            *declared_at,
+            f"coloring declares colors-used {declared} but uses {used} colors",
+        )
     return ColoringDoc(assignment, declared)
 
 
@@ -155,29 +169,35 @@ def serialize_coloring(
 def parse_hypergraph(text: str) -> tuple[tuple[str, ...], Quasicluster]:
     """Parse a hypergraph file; returns edge names and the validated quasicluster."""
     declared: int | None = None
-    names: list[str] = []
+    names: dict[str, None] = {}  # edge names in file order
     edges: list[tuple[str, ...]] = []
+    repeated_at: tuple[int, int] | None = None  # first repeated edge name
     for lineno, line, raw in _content_lines(text):
         tokens = line.split()
         if tokens[0] == "edges":
             if len(tokens) != 2:
                 raise ParseError(lineno, 1, "header must be 'edges <int>'")
             declared = _size_token(tokens[1], lineno, raw, "edge count")
+            declared_at = (lineno, _token_column(raw, 1))
         elif tokens[0] == "edge":
             if len(tokens) < 4 or tokens[2] != ":":
                 raise ParseError(
                     lineno, 1, "edge line is 'edge <name> : <v1> <v2> ...'"
                 )
-            names.append(tokens[1])
+            if tokens[1] in names and repeated_at is None:
+                repeated_at = (lineno, _token_column(raw, 1))
+            names[tokens[1]] = None
             edges.append(tuple(tokens[3:]))
         else:
             raise ParseError(lineno, 1, f"unknown directive {tokens[0]!r}")
     if declared is None:
         raise ParseError(1, 1, "missing 'edges <int>' header")
     if declared != len(edges):
-        raise ParseError(1, 1, f"header declares {declared} edges, found {len(edges)}")
-    if len(set(names)) != len(names):
-        raise ParseError(1, 1, "duplicate edge names")
+        raise ParseError(
+            *declared_at, f"header declares {declared} edges, found {len(edges)}"
+        )
+    if repeated_at is not None:
+        raise ParseError(*repeated_at, "duplicate edge names")
     return tuple(names), validate_quasicluster(edges)
 
 

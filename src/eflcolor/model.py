@@ -42,9 +42,6 @@ class CliqueDecomposition:
     n: int
     elements: tuple[Element, ...]
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
     def vertex_sets(self) -> list[frozenset[int]]:
         return [e.vertex_set for e in self.elements]
 

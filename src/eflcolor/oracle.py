@@ -36,14 +36,6 @@ class ExactResult:
     nodes_explored: int
 
 
-def greedy_coloring(d: CliqueDecomposition) -> tuple[int, ...]:
-    """Largest-degree-first greedy on the conflict graph; proper by construction.
-
-    This is the first pass of ``_iterated_greedy``, without its re-colorings.
-    """
-    return _iterated_greedy(intersection_graph(d).neighbors, rounds=0)
-
-
 def _greedy_on_order(
     neighbor_sets: Sequence[set[int]], order: Sequence[int]
 ) -> dict[int, int]:
@@ -232,11 +224,13 @@ def exact_chromatic_index(
 
 def exhaustive_labeling_oracle(
     n: int, elements: Sequence[Sequence[VertexId]]
-) -> tuple[Labeling, ArithmeticCertificate] | None:
+) -> tuple[Labeling, CliqueDecomposition, ArithmeticCertificate] | None:
     """Try every bijection onto Z_n in lexicographic order.
 
-    Serves only as the ground truth for the backtracking search; refuses
-    n > 8 (n! sweeps).
+    Serves only as the ground truth for the backtracking search, and so
+    returns what ``search_labeling`` returns: the first labeling that admits
+    a certificate, the decomposition relabeled through it, and its
+    certificate. Refuses n > 8 (n! sweeps).
     """
     if n > ORACLE_LABELING_LIMIT:
         raise TooLargeError(f"full bijection sweep refused for n={n} > {ORACLE_LABELING_LIMIT}")
@@ -249,7 +243,7 @@ def exhaustive_labeling_oracle(
         cert = find_certificate(d)
         if cert is not None:
             labeling = Labeling(tuple((order[v], perm[v]) for v in range(n)))
-            return labeling, cert
+            return labeling, d, cert
     return None
 
 

@@ -147,7 +147,7 @@ def test_criterion_4_coloring_property_suite():
         abstract = [tuple(f"v{v}" for v in e.vertices) for e in d.elements]
         searched = search_labeling(d.n, abstract, budget=500_000)
         if searched is not None:
-            labeling, cert2 = searched
+            labeling, _, cert2 = searched
             relabeled = apply_labeling(d.n, abstract, labeling)
             try:
                 colored = color_decomposition(relabeled, cert2)
@@ -173,7 +173,7 @@ def test_criterion_4_coloring_property_suite():
                 except BudgetExceededError:
                     searched = None
                 if searched is not None:
-                    labeling, cert2 = searched
+                    labeling, _, cert2 = searched
                     relabeled = apply_labeling(d.n, abstract, labeling)
                     try:
                         colored = color_decomposition(relabeled, cert2)
@@ -246,7 +246,7 @@ def test_criterion_6_search_soundness_completeness():
         assert (ours is None) == (truth is None)
         for result in (ours, truth):
             if result is not None:
-                labeling, cert = result
+                labeling, _, cert = result
                 relabeled = apply_labeling(n, abstract, labeling)
                 assert check_certificate(relabeled, cert)
         if ours is not None:

@@ -265,7 +265,7 @@ class TestSearchLabeling:
         ]
         found = search_labeling(9, scrambled, budget=2_000_000)
         assert found is not None
-        labeling, cert = found
+        labeling, _, cert = found
         relabeled = apply_labeling(9, scrambled, labeling)
         assert check_certificate(relabeled, cert)
 
@@ -282,7 +282,7 @@ class TestSearchLabeling:
         oracle = exhaustive_labeling_oracle(7, abstract)
         assert (ours is None) == (oracle is None)
         if ours is not None:
-            labeling, cert = ours
+            labeling, _, cert = ours
             assert check_certificate(apply_labeling(7, abstract, labeling), cert)
 
     def test_budget_exceeded_raises(self):
@@ -310,7 +310,7 @@ class TestSearchLabeling:
                 )
                 assert (plain is None) == (reduced is None)
                 if reduced is not None:
-                    labeling, cert = reduced
+                    labeling, _, cert = reduced
                     assert check_certificate(
                         apply_labeling(n, abstract, labeling), cert
                     )
@@ -370,7 +370,7 @@ class TestSearchParity:
         n, seed = case
         labels, signature, nodes = PINNED_SEARCHES[case]
         abstract = permuted_random(n, seed)
-        labeling, cert = search_labeling(n, abstract, budget=200_000)
+        labeling, _, cert = search_labeling(n, abstract, budget=200_000)
         mapping = labeling.mapping
         assert [mapping[f"v{v}"] for v in range(n)] == labels
         assert " ".join(entry_signature(e) for e in cert.entries) == signature
@@ -393,7 +393,7 @@ class TestSearchParity:
         ours = search_labeling(n, abstract)
         assert (ours is None) == (exhaustive_labeling_oracle(n, abstract) is None)
         if ours is not None:
-            labeling, cert = ours
+            labeling, _, cert = ours
             assert check_certificate(apply_labeling(n, abstract, labeling), cert)
 
 
@@ -565,5 +565,5 @@ class TestDeepSearch:
         finally:
             sys.setrecursionlimit(limit)
         assert found is not None
-        labeling, cert = found
+        labeling, _, cert = found
         assert check_certificate(apply_labeling(40, abstract, labeling), cert)

@@ -1,15 +1,27 @@
 """Exit codes, output formats and determinism of the command-line tool."""
 
 import inspect
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eflcolor import check_proper, cli, files, random_decomposition, trivial_edges
+from eflcolor import (
+    ArithmeticCertificate,
+    check_proper,
+    cli,
+    files,
+    find_certificate,
+    random_decomposition,
+    trivial_edges,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -52,6 +64,16 @@ class TestGenerate:
 
     def test_unknown_fixture_exit_2(self):
         run_cli("generate", "nope", expect=2)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [(("nope",), "unknown fixture 'nope'"), (("random", "--n", "5"), "random needs seed")],
+    )
+    def test_failure_reported_by_main_without_json(self, args, message, capsys):
+        assert cli.main(["generate", *args, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
 
 class TestValidate:
@@ -184,6 +206,30 @@ class TestVerify:
         assert "declares colors-used 1 but uses 3 colors" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.fixture()
+    def e3(self, tmp_path):
+        path = tmp_path / "e3.txt"
+        path.write_text(files.serialize_instance(trivial_edges(3)))
+        return str(path)
+
+    def test_declared_colors_mismatch_points_at_the_header(self, e3, tmp_path, capsys):
+        col = tmp_path / "late-header.txt"
+        col.write_text("# a\n# b\ncolor 0 0\ncolors-used 1\ncolor 1 1\ncolor 2 2\n")
+        assert cli.main(["verify", e3, str(col)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: line 4, column 13: coloring declares colors-used 1 but uses 3 colors\n"
+        )
+        assert captured.out == ""
+
+    def test_index_mismatch_has_no_position(self, e3, tmp_path, capsys):
+        col = tmp_path / "short.txt"
+        col.write_text("colors-used 1\ncolor 0 0\ncolor 1 0\n")
+        assert cli.main(["verify", e3, str(col)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: coloring does not match the instance's element indices\n"
+        assert captured.out == ""
+
 
 class TestBudget:
     @pytest.fixture()
@@ -274,6 +320,18 @@ class TestInProcess:
             sys.setrecursionlimit(limit)
         assert code == 4
         assert capsys.readouterr().err == "error: search budget of 2000 nodes exceeded\n"
+
+    def test_violated_bound_exit_1(self, tmp_path, capsys, monkeypatch):
+        d = trivial_edges(3)
+        inst = tmp_path / "e3.txt"
+        inst.write_text(files.serialize_instance(d))
+        # one entry for all three edges gives them one color
+        corrupted = ArithmeticCertificate((find_certificate(d).entries[0],) * 3)
+        monkeypatch.setattr(cli, "find_certificate", lambda _: corrupted)
+        assert cli.main(["color", str(inst)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: certified coloring is improper: 3 conflicting pairs\n"
+        assert captured.out == ""
 
 
 class TestChi:
@@ -396,3 +454,84 @@ class TestDeterminism:
     )
     def test_byte_identical_runs(self, args):
         assert run_cli(*args).stdout == run_cli(*args).stdout
+
+
+# Texts in the shape of one of the three formats: a header, then its
+# directive lines with small and negative integers, now and then a line of
+# junk. Most fail to parse; some instances parse and reach every exit code
+# of color and chi, while a valid hypergraph is rare.
+_INTS = st.integers(-3, 9).map(str)
+_FEW = st.integers(-1, 5).map(str)
+_NAMES = st.sampled_from(("a", "b", "c", "d", "e"))
+_JUNK = st.lists(
+    st.sampled_from(("x", ":", "#", "1.5", "0x1", "\u00e9", "\0", "\t", "\n", "n", "edge")),
+    max_size=5,
+)
+_FORMATS = (
+    (
+        st.tuples(st.just("n"), _INTS),
+        st.tuples(st.just("element"), st.lists(_FEW, min_size=1, max_size=4)),
+        st.just(("auto-edges",)),
+    ),
+    (
+        st.tuples(st.just("colors-used"), _FEW),
+        st.tuples(st.just("color"), _FEW, _FEW),
+    ),
+    (
+        st.tuples(st.just("edges"), _FEW),
+        st.tuples(
+            st.just("edge"),
+            st.integers(0, 9).map(lambda i: f"E{i}"),
+            st.just(":"),
+            st.lists(_NAMES, min_size=1, max_size=3),
+        ),
+    ),
+)
+
+
+def _text(header, lines, junk, at) -> str:
+    """The format's header, its lines, and one line of junk (maybe empty)
+    inserted at index ``at`` (clipped to the end)."""
+    lines = [header, *lines]
+    lines.insert(at, junk)
+    return "".join(
+        " ".join(p if isinstance(p, str) else " ".join(p) for p in line) + "\n"
+        for line in lines
+    )
+
+
+_TEXTS = st.one_of(
+    st.tuples(
+        header,
+        st.lists(st.one_of(*lines), max_size=6),
+        st.one_of(st.just(()), _JUNK),
+        st.integers(0, 7),
+    )
+    for header, *lines in _FORMATS
+).map(lambda args: _text(*args))
+
+
+class TestAnyTextExits:
+    """Every text ends in a documented exit code, never in an exception."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(first=_TEXTS, second=_TEXTS)
+    def test_documented_exit_code(self, first, second, tmp_path_factory):
+        where = tmp_path_factory.mktemp("fuzz")
+        a, b = where / "a.txt", where / "b.txt"
+        a.write_text(first, encoding="utf-8")
+        b.write_text(second, encoding="utf-8")
+        commands = [
+            ["validate", str(a)],
+            ["validate", str(a), "--hypergraph"],
+            ["color", str(a)],
+            ["color", str(a), "--labeling", "search", "--budget", "200"],
+            ["verify", str(a), str(b)],
+            ["chi", str(a), "--budget", "200"],
+            ["convert", str(a), "--to", "hypergraph"],
+            ["convert", str(a), "--to", "decomposition"],
+        ]
+        for argv in commands:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            assert code in range(5), argv

@@ -165,15 +165,6 @@ class TestColorDecomposition:
             color_decomposition(d, broken)
         assert exc.value.conflicts
 
-    def test_verify_flag_skips_check(self):
-        d = trivial_edges(3)
-        cert = find_certificate(d)
-        from eflcolor import ArithmeticCertificate
-
-        broken = ArithmeticCertificate((cert.entries[0],) * 3)
-        colored = color_decomposition(d, broken, verify=False)
-        assert not check_proper(d, colored.coloring).ok
-
     def test_entry_count_mismatch(self):
         d = trivial_edges(3)
         cert = find_certificate(d)

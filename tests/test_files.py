@@ -103,6 +103,12 @@ class TestColoringFormat:
         with pytest.raises(ParseError):
             parse_coloring("color 0 1\n")
 
+    def test_declared_count_mismatch_points_at_the_count(self):
+        with pytest.raises(ParseError) as exc:
+            parse_coloring("# a\ncolor 0 0\n\ncolors-used  3\ncolor 1 1\n")
+        assert (exc.value.line, exc.value.column) == (4, 14)
+        assert "declares colors-used 3 but uses 2 colors" in str(exc.value)
+
 
 class TestHypergraphFormat:
     def test_round_trip_with_names(self):
@@ -118,11 +124,26 @@ class TestHypergraphFormat:
         with pytest.raises(ParseError):
             parse_hypergraph("edges 2\nedge A : x y\n")
 
+    def test_count_mismatch_points_at_the_count(self):
+        with pytest.raises(ParseError) as exc:
+            parse_hypergraph("edge A : x y\n# two\n  edges 2\n")
+        assert (exc.value.line, exc.value.column) == (3, 9)
+        assert "header declares 2 edges, found 1" in str(exc.value)
+
     def test_duplicate_names(self):
         with pytest.raises(ParseError):
             parse_hypergraph(
                 "edges 3\nedge A : x y\nedge A : y z\nedge B : x z\n"
             )
+
+    def test_duplicate_name_points_at_the_repeat(self):
+        # "e" also occurs in the keyword; the column is the name's own
+        with pytest.raises(ParseError) as exc:
+            parse_hypergraph(
+                "edges 3\nedge e : x y\nedge B : y z\nedge  e : x z\n"
+            )
+        assert (exc.value.line, exc.value.column) == (4, 7)
+        assert "duplicate edge names" in str(exc.value)
 
     @pytest.mark.parametrize("count", ["0", "1", "-2"])
     def test_edge_count_below_two(self, count):

@@ -16,7 +16,6 @@ from eflcolor import (
     exhaustive_labeling_oracle,
     find_certificate,
     fixture,
-    greedy_coloring,
     near_pencil,
     random_decomposition,
     search_labeling,
@@ -160,7 +159,7 @@ class TestUpperHint:
     @pytest.mark.parametrize("d", fixtures_and_random(20, 2))
     def test_hint_not_better_changes_nothing(self, d):
         unhinted = exact_chromatic_index(d)
-        greedy = greedy_coloring(d)
+        greedy = _iterated_greedy(intersection_graph(d).neighbors, rounds=0)
         for hint in (greedy, [c + 7 for c in greedy], unhinted.witness):
             assert exact_chromatic_index(d, upper_hint=hint) == unhinted
 
@@ -186,18 +185,19 @@ class TestGreedyFloor:
 class TestGreedy:
     def test_single_element(self):
         d = validate_decomposition(3, [(0, 1, 2)])
-        assert greedy_coloring(d) == (0,)
+        assert _iterated_greedy(intersection_graph(d).neighbors, rounds=0) == (0,)
 
     def test_edge_triangle(self):
         d = trivial_edges(3)
-        coloring = greedy_coloring(d)
+        coloring = _iterated_greedy(intersection_graph(d).neighbors, rounds=0)
         assert len(set(coloring)) == 3
 
     def test_always_proper(self):
         for n in range(3, 10):
             for seed in range(15):
                 d = random_decomposition(n, seed)
-                assert check_proper(d, greedy_coloring(d)).ok
+                neighbors = intersection_graph(d).neighbors
+                assert check_proper(d, _iterated_greedy(neighbors, rounds=0)).ok
 
 
 class TestEnumeration:
@@ -255,7 +255,7 @@ class TestLabelingOracle:
         abstract = [e.vertices for e in d.elements]
         found = exhaustive_labeling_oracle(5, abstract)
         assert found is not None
-        labeling, _ = found
+        labeling, _, _ = found
         # lexicographically first bijection is the identity
         assert [x for _, x in labeling.assignment] == [0, 1, 2, 3, 4]
 
