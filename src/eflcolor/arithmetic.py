@@ -17,6 +17,7 @@ ordering and fail for another.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Collection, Hashable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -201,26 +202,78 @@ def split_orderings(
     return tuple(found)
 
 
+def _run_length(start: int, step: int, n: int, target: frozenset[int]) -> int:
+    """How many of start, start+step, ... lie in the set before one is missing."""
+    length = 0
+    while start in target:
+        length += 1
+        start = (start + step) % n
+    return length
+
+
 def _iter_options(
     vertices: Iterable[int], n: int
 ) -> Iterator[ElementCertificate]:
     """The certificate candidates of one element, lazily, in canonical order.
 
     Order: ascending step; within a step, single progressions (ascending
-    start) before splits (ascending start pair). Each step's orderings are
-    built only when the options before them have been consumed, so a caller
-    that needs just the first option pays for the steps up to it.
+    start) before splits (ascending start pair). This is what
+    ``arithmetic_orderings`` and ``split_orderings`` list, read off the
+    structure of the set W under x -> x + k instead: Z_n falls into cycles
+    of length n / gcd(k, n), and W into whole cycles and runs (maximal
+    stretches w, w+k, ... inside one cycle, each with one start, the member
+    whose predecessor is missing). A k-progression of distinct terms is a
+    run of length below the cycle length, with its start as the only start,
+    or a whole cycle, with every member as a start. So W has
+      - one single iff it is one run (start: the run's), or one whole cycle
+        (starts: all of W);
+      - splits (halves of r/2 terms) iff it is two runs of r/2 (one pair),
+        one run cut in the middle (one pair), one whole cycle cut in two
+        opposite halves (r/2 pairs), or two whole cycles of r/2 (every
+        pair of members from different cycles).
+    Each step costs O(r). A caller that needs just the first option pays
+    for the steps up to it.
     """
     target = frozenset(vertices)
-    if len(target) < 2:
+    r = len(target)
+    if r < 2:
         raise ValueError("elements have at least two vertices")
-    even = len(target) % 2 == 0
+    ws = sorted(target)
+    half = 0 if r % 2 else r // 2
     for step in range(1, n // 2 + 1):
-        for p in arithmetic_orderings(target, step, n):
-            yield SingleCertificate(p)
-        if even:
-            for a, b in split_orderings(target, step, n):
-                yield SplitCertificate(a, b)
+        cycle = n // gcd(step, n)
+        if r > (2 * cycle if half else cycle):
+            continue
+        starts = [w for w in ws if (w - step) % n not in target]
+        pairs: Iterable[tuple[int, int]] = ()
+        if not starts:  # W is whole cycles, of `cycle` members each
+            if r == cycle:
+                for s in ws:
+                    yield SingleCertificate(Progression(s, step, r, n))
+                if half:  # s and s + (r/2)k start opposite halves
+                    pairs = [(s, (s + half * step) % n) for s in ws]
+                    pairs = [(s, t) for s, t in pairs if s < t]
+            elif half == cycle:  # two cycles; the cycle of x is x mod gcd
+                g = n // cycle
+                pairs = [
+                    (s, t) for i, s in enumerate(ws) for t in ws[i + 1 :] if (t - s) % g
+                ]
+        elif len(starts) == 1:
+            if r < cycle:  # one run, not a whole cycle beside it
+                s = starts[0]
+                yield SingleCertificate(Progression(s, step, r, n))
+                if half:
+                    t = (s + half * step) % n
+                    pairs = [(min(s, t), max(s, t))]
+        elif len(starts) == 2 and half:
+            # the first run has r/2 members, which is below the cycle length,
+            # so the rest is too short for a whole cycle: it is the other run
+            if _run_length(starts[0], step, n, target) == half:
+                pairs = [tuple(starts)]
+        for s, t in pairs:
+            yield SplitCertificate(
+                Progression(s, step, half, n), Progression(t, step, half, n)
+            )
 
 
 def element_options(vertices: Iterable[int], n: int) -> tuple[ElementCertificate, ...]:
@@ -244,24 +297,52 @@ def _distinct_representatives(
     an alternating path.
     """
     holder: dict[int, int] = {}
+    held: dict[int, int] = {}
+    for i in range(len(candidates)):
+        if not _augment(i, candidates, holder, held, blocked):
+            return None
+    return [held[i] for i in range(len(candidates))]
 
-    def claim(i: int, visited: set[int]) -> bool:
-        for c in candidates[i]:
+
+def _augment(
+    i: int,
+    candidates,
+    holder: dict[int, int],
+    held: dict[int, int],
+    blocked: Collection[int] = (),
+) -> bool:
+    """Kuhn's step: add list i to a matching that covers the lists matched so far.
+
+    ``holder`` maps each taken member to its list and ``held`` each matched
+    list to its member. List i takes a free candidate, or frees a taken one
+    by moving its holder along an alternating path, found depth first in
+    candidate order on an explicit stack. With every other matched list
+    covered, such a path exists iff the lists with i still have distinct
+    representatives (Berge); when none exists the matching is left as it
+    was and False is returned.
+    """
+    visited: set[int] = set()
+    stack = [(i, iter(candidates[i]))]
+    taken: list[int] = []  # the member each list on the stack is moving to
+    while stack:
+        for c in stack[-1][1]:
             if c in visited or c in blocked:
                 continue
             visited.add(c)
+            taken.append(c)
             j = holder.get(c)
-            if j is None or claim(j, visited):
-                holder[c] = i
+            if j is None:
+                for (k, _), m in zip(stack, taken):
+                    holder[m] = k
+                    held[k] = m
                 return True
-        return False
-
-    if not all(claim(i, set()) for i in range(len(candidates))):
-        return None
-    chosen = [0] * len(candidates)
-    for c, i in holder.items():
-        chosen[i] = c
-    return chosen
+            stack.append((j, iter(candidates[j])))
+            break
+        else:
+            stack.pop()
+            if taken:
+                taken.pop()
+    return False
 
 
 def _backtrack(moves, place, unplace, goal: int, budget: int, nodes: int = 0):
@@ -385,37 +466,41 @@ def search_labeling(
     n: int,
     elements: Sequence[Sequence[VertexId]],
     budget: int = DEFAULT_NODE_BUDGET,
-    unit_symmetry: bool = False,
 ) -> tuple[Labeling, CliqueDecomposition, ArithmeticCertificate] | None:
     """Find a bijection onto Z_n making the decomposition arithmetic.
 
     Backtracks over partial vertex assignments. A branch dies as soon as a
     fully-labeled element has no options, or the fully-labeled odd elements
-    cannot receive pairwise distinct centrals. Translation symmetry is broken
-    by pinning the first vertex of the largest element to 0, which is safe:
-    adding t to every label keeps every progression a progression and shifts
-    all centrals by t, preserving distinctness. Exhaustive up to that
-    reduction, so None means no labeling exists.
+    cannot receive pairwise distinct centrals. Exhaustive up to two
+    symmetries, so None means no labeling exists:
+
+    - Translation: the first vertex of the largest element is pinned to 0.
+      Adding t to every label keeps every progression a progression and
+      shifts all centrals by t, preserving distinctness.
+    - Units: the second vertex in the variable order tries only the
+      divisors of n. Multiplying every label by a unit u fixes the pinned 0,
+      turns a k-progression into a uk-progression and maps centrals
+      bijectively, so it maps the solutions below label x onto those below
+      ux. The orbit of x under the units is every label with the same
+      gcd(x, n), whose least member is that gcd, a divisor. A subtree
+      without a solution thus proves its whole orbit has none, and the
+      first solution in plain order lies below a divisor: the labelings
+      returned are exactly those of the plain search, in fewer nodes.
 
     One search asks for the same few hundred label sets tens of thousands of
     times, so it keeps an index from a label set's bitmask (bit x set for
-    label x) to what the search needs of its options: whether there are any,
-    and for an odd set its candidate centrals in canonical order without
-    repeats. An entry is built the first time its set completes, an odd
-    set's from ``element_options`` and an even set's from its first option
-    alone, and lives as long as the call; the certificate itself is built
-    once, by ``find_certificate``, for the labeling found. The centrals test
-    is one bipartite matching of the completed odd elements to their
-    candidates, run whenever an odd element completes; an even element adds
-    no central and cannot change its answer.
-
-    ``unit_symmetry`` additionally restricts the second assigned vertex to
-    one label per orbit of the unit group (multiplying all labels by a unit
-    u fixes 0, rescales every step, and maps centrals bijectively, so some
-    solution survives the restriction; the orbit of x under units is
-    determined by gcd(x, n), with the divisor itself as least member). Off
-    by default because the returned labeling is then no longer the first in
-    plain branch order.
+    label x, the OR of the ``1 << label`` kept per vertex) to what the
+    search needs of its options: whether there are any, and for an odd set
+    its candidate centrals in canonical order without repeats. An entry is
+    built the first time its set completes, an odd set's from
+    ``element_options`` and an even set's from its first option alone, and
+    lives as long as the call. A 2-element set always has an option, so it
+    is never looked up. The certificate itself is built once, by
+    ``find_certificate``, for the labeling found. The centrals test keeps
+    one matching of the completed odd elements to distinct centrals for the
+    whole search: an odd element that completes is added to it by one
+    augmenting step, and taken out, freeing its central, when its label is
+    undone. An even element adds no central and cannot change the answer.
 
     A found labeling comes back as ``(labeling, relabeled, certificate)``:
     the bijection, the decomposition relabeled through it (as
@@ -444,73 +529,84 @@ def search_labeling(
     # variable order) is assigned.
     completed_at: list[list[int]] = [[] for _ in range(n)]
     for ei, elem in enumerate(indexed):
-        last = max(position[v] for v in elem)
-        completed_at[last].append(ei)
+        if len(elem) > 2:
+            completed_at[max(position[v] for v in elem)].append(ei)
 
-    assignment: dict[int, int] = {}  # filled in variable order
+    label = [0] * n  # label of each assigned vertex
+    bit = [0] * n  # 1 << label of each assigned vertex
     used_labels = [False] * n
+    depth = 0  # vertices assigned, in variable order
     # label-set bitmask -> candidate centrals of an odd set, () for an even
     # set, None when the set has no options
     index: dict[int, tuple[int, ...] | None] = {}
-    odd_centrals: list[tuple[int, ...]] = []  # one entry per completed odd element
-    marks: list[int] = []  # len(odd_centrals) before each placed label
+    centrals_of: list[tuple[int, ...]] = [()] * m  # of each completed odd element
+    holder: dict[int, int] = {}  # central -> the odd element matched to it
+    held: dict[int, int] = {}  # matched odd element -> its central
+    matched: list[int] = []  # matched odd elements, in completion order
+    marks: list[int] = []  # len(matched) before each placed label
 
-    def lookup(elem: list[int]):
-        labels = [assignment[u] for u in elem]
-        mask = 0
-        for x in labels:
-            mask |= 1 << x
-        if mask not in index:
-            if len(elem) % 2 == 1:
-                options = element_options(labels, n)
-                centrals = tuple(dict.fromkeys(o.central for o in options))
-                index[mask] = centrals or None
-            elif next(_iter_options(labels, n), None) is None:
-                index[mask] = None
-            else:
-                index[mask] = ()
-        return index[mask]
+    def entry(mask: int, size: int) -> tuple[int, ...] | None:
+        labels = [x for x in range(n) if mask >> x & 1]
+        if size % 2 == 1:
+            centrals = tuple(dict.fromkeys(o.central for o in element_options(labels, n)))
+            return centrals or None
+        return None if next(_iter_options(labels, n), None) is None else ()
 
-    unit_reps = {d for d in range(1, n) if n % d == 0} if unit_symmetry else None
+    def release(mark: int) -> None:
+        for ei in matched[mark:]:
+            del holder[held.pop(ei)]
+        del matched[mark:]
+
+    divisors = [x for x in range(1, n) if n % x == 0]
 
     def moves() -> list[int]:
-        depth = len(assignment)
         if depth == 0:
             return [0]
-        if depth == 1 and unit_reps is not None:
-            return [x for x in range(n) if not used_labels[x] and x in unit_reps]
+        if depth == 1:
+            return divisors
         return [x for x in range(n) if not used_labels[x]]
 
     def place(lab: int) -> bool:
-        depth = len(assignment)
-        assignment[var_order[depth]] = lab
-        mark = len(odd_centrals)
+        nonlocal depth
+        v = var_order[depth]
+        bit[v] = 1 << lab
+        mark = len(matched)
         for ei in completed_at[depth]:
-            centrals = lookup(indexed[ei])
+            elem = indexed[ei]
+            mask = 0
+            for u in elem:
+                mask |= bit[u]
+            if mask in index:
+                centrals = index[mask]
+            else:
+                centrals = index[mask] = entry(mask, len(elem))
             if centrals is None:
                 break
             if centrals:
-                odd_centrals.append(centrals)
+                centrals_of[ei] = centrals
+                if not _augment(ei, centrals_of, holder, held):
+                    break
+                matched.append(ei)
         else:
-            if len(odd_centrals) == mark or (
-                _distinct_representatives(odd_centrals) is not None
-            ):
-                used_labels[lab] = True
-                marks.append(mark)
-                return True
-        del odd_centrals[mark:]
-        assignment.popitem()
+            label[v] = lab
+            used_labels[lab] = True
+            marks.append(mark)
+            depth += 1
+            return True
+        if len(matched) > mark:
+            release(mark)
         return False
 
     def unplace(lab: int) -> None:
-        del odd_centrals[marks.pop() :]
+        nonlocal depth
+        depth -= 1
+        release(marks.pop())
         used_labels[lab] = False
-        assignment.popitem()
 
     found, _ = _backtrack(moves, place, unplace, n, budget)
     if not found:
         return None
-    labeling = Labeling(tuple((order[v], assignment[v]) for v in range(n)))
+    labeling = Labeling(tuple((order[v], label[v]) for v in range(n)))
     relabeled = apply_labeling(n, elements, labeling)
     cert = find_certificate(relabeled)
     if cert is None:

@@ -87,8 +87,15 @@ class TheoremViolationError(Exception):
 
 
 class ParseError(Exception):
-    def __init__(self, line: int, column: int, message: str):
+    """A text that breaks its format, at the line and column of the fault.
+
+    A fault that no line holds, such as a missing header, has line and
+    column None and is reported by its message alone.
+    """
+
+    def __init__(self, line: int | None, column: int | None, message: str):
         self.line = line
         self.column = column
         self.message = message
-        super().__init__(f"line {line}, column {column}: {message}")
+        where = "" if line is None else f"line {line}, column {column}: "
+        super().__init__(where + message)

@@ -53,34 +53,33 @@ def _content_lines(text: str):
             yield lineno, stripped, raw
 
 
-def _column(raw: str, token: str) -> int:
-    return max(raw.find(token) + 1, 1)
-
-
 def _token_column(raw: str, i: int) -> int:
     """Column of the i-th whitespace-separated token of a content line."""
     return [m.start() for m in re.finditer(r"\S+", raw)][i] + 1
 
 
-def _int_token(token: str, lineno: int, raw: str, what: str) -> int:
+def _int_token(tokens: list[str], i: int, lineno: int, raw: str, what: str) -> int:
+    """The i-th token of a content line as an integer."""
     try:
-        return int(token)
+        return int(tokens[i])
     except ValueError:
         raise ParseError(
-            lineno, _column(raw, token), f"{what}: {token!r} is not an integer"
+            lineno, _token_column(raw, i), f"{what}: {tokens[i]!r} is not an integer"
         )
 
 
-def _size_token(token: str, lineno: int, raw: str, what: str) -> int:
+def _size_token(tokens: list[str], i: int, lineno: int, raw: str, what: str) -> int:
     """A header's order or edge count: an integer in 2..MAX_ORDER."""
-    value = _int_token(token, lineno, raw, what)
+    value = _int_token(tokens, i, lineno, raw, what)
     if value < 2:
         bound = "at least 2"
     elif value > MAX_ORDER:
         bound = f"at most {MAX_ORDER}"
     else:
         return value
-    raise ParseError(lineno, _column(raw, token), f"{what} must be {bound}, got {value}")
+    raise ParseError(
+        lineno, _token_column(raw, i), f"{what} must be {bound}, got {value}"
+    )
 
 
 def parse_instance(text: str) -> CliqueDecomposition:
@@ -96,21 +95,24 @@ def parse_instance(text: str) -> CliqueDecomposition:
                 raise ParseError(lineno, 1, "duplicate header line")
             if len(tokens) != 2:
                 raise ParseError(lineno, 1, "header must be exactly 'n <int>'")
-            n = _size_token(tokens[1], lineno, raw, "order")
+            n = _size_token(tokens, 1, lineno, raw, "order")
         elif keyword == "element":
             if n is None:
                 raise ParseError(lineno, 1, "element before the 'n <int>' header")
             if len(tokens) < 2:
                 raise ParseError(lineno, 1, "element line lists at least one vertex")
             elements.append(
-                tuple(_int_token(t, lineno, raw, "vertex") for t in tokens[1:])
+                tuple(
+                    _int_token(tokens, i, lineno, raw, "vertex")
+                    for i in range(1, len(tokens))
+                )
             )
         elif keyword == "auto-edges":
             auto_edges = True
         else:
             raise ParseError(lineno, 1, f"unknown directive {keyword!r}")
     if n is None:
-        raise ParseError(1, 1, "missing 'n <int>' header")
+        raise ParseError(None, None, "missing 'n <int>' header")
     if auto_edges:
         elements = list(complete_with_pairs(n, tuple(elements)))
     return validate_decomposition(n, elements)
@@ -134,20 +136,20 @@ def parse_coloring(text: str) -> ColoringDoc:
         if tokens[0] == "colors-used":
             if len(tokens) != 2:
                 raise ParseError(lineno, 1, "header must be 'colors-used <int>'")
-            declared = _int_token(tokens[1], lineno, raw, "count")
+            declared = _int_token(tokens, 1, lineno, raw, "count")
             declared_at = (lineno, _token_column(raw, 1))
         elif tokens[0] == "color":
             if len(tokens) != 3:
                 raise ParseError(lineno, 1, "color line is 'color <element> <color>'")
-            idx = _int_token(tokens[1], lineno, raw, "element index")
-            col = _int_token(tokens[2], lineno, raw, "color index")
+            idx = _int_token(tokens, 1, lineno, raw, "element index")
+            col = _int_token(tokens, 2, lineno, raw, "color index")
             if idx in assignment:
                 raise ParseError(lineno, 1, f"element {idx} colored twice")
             assignment[idx] = col
         else:
             raise ParseError(lineno, 1, f"unknown directive {tokens[0]!r}")
     if declared is None:
-        raise ParseError(1, 1, "missing 'colors-used <int>' header")
+        raise ParseError(None, None, "missing 'colors-used <int>' header")
     used = len(set(assignment.values()))
     if declared != used:
         raise ParseError(
@@ -177,7 +179,7 @@ def parse_hypergraph(text: str) -> tuple[tuple[str, ...], Quasicluster]:
         if tokens[0] == "edges":
             if len(tokens) != 2:
                 raise ParseError(lineno, 1, "header must be 'edges <int>'")
-            declared = _size_token(tokens[1], lineno, raw, "edge count")
+            declared = _size_token(tokens, 1, lineno, raw, "edge count")
             declared_at = (lineno, _token_column(raw, 1))
         elif tokens[0] == "edge":
             if len(tokens) < 4 or tokens[2] != ":":
@@ -191,7 +193,7 @@ def parse_hypergraph(text: str) -> tuple[tuple[str, ...], Quasicluster]:
         else:
             raise ParseError(lineno, 1, f"unknown directive {tokens[0]!r}")
     if declared is None:
-        raise ParseError(1, 1, "missing 'edges <int>' header")
+        raise ParseError(None, None, "missing 'edges <int>' header")
     if declared != len(edges):
         raise ParseError(
             *declared_at, f"header declares {declared} edges, found {len(edges)}"

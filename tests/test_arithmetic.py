@@ -1,9 +1,11 @@
 """k-arithmetic detection, certificates, and the labeling search."""
 
+import hashlib
 import inspect
 import random
 import sys
 from itertools import combinations, permutations, product
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -295,26 +297,6 @@ class TestSearchLabeling:
         with pytest.raises(ValueError):
             search_labeling(4, [("a", "b"), ("a", "c")])
 
-    def test_unit_symmetry_preserves_existence(self):
-        from eflcolor import random_decomposition
-
-        for n in (5, 6, 7):
-            for seed in range(12):
-                d = random_decomposition(n, seed)
-                abstract = [
-                    tuple(f"w{v}" for v in e.vertices) for e in d.elements
-                ]
-                plain = search_labeling(n, abstract, budget=500_000)
-                reduced = search_labeling(
-                    n, abstract, budget=500_000, unit_symmetry=True
-                )
-                assert (plain is None) == (reduced is None)
-                if reduced is not None:
-                    labeling, _, cert = reduced
-                    assert check_certificate(
-                        apply_labeling(n, abstract, labeling), cert
-                    )
-
 
 def permuted_random(n, seed):
     """random_decomposition(n, seed) over opaque ids, its labels shuffled."""
@@ -331,8 +313,9 @@ def entry_signature(entry):
     return f"sp{entry.step}:{entry.first.start},{entry.second.start}"
 
 
-# Labelings (label of v0, v1, ...), certificate entries and the node count
-# of the successful search, as the plain backtracking search returned them.
+# Labelings (label of v0, v1, ...) and certificate entries as the plain
+# backtracking search returned them, and the node count of the successful
+# search, which tries one label per unit orbit at depth 1.
 PINNED_SEARCHES = {
     (8, 1): (
         [1, 6, 3, 5, 7, 4, 0, 2],
@@ -344,7 +327,7 @@ PINNED_SEARCHES = {
         [3, 5, 1, 4, 8, 6, 0, 2, 7],
         "sp1:0,3 si1:4 si1:0 si4:3 si2:1 si1:3 sp1:3,6 sp1:3,8 sp1:1,7 sp1:1,4"
         " sp1:1,6 sp1:1,8 sp1:2,4 sp1:2,5 sp1:2,6 sp1:2,8",
-        6925,
+        3477,
     ),
     (10, 2): (
         [3, 7, 5, 8, 6, 4, 9, 1, 0, 2],
@@ -359,6 +342,121 @@ PINNED_SEARCHES = {
         " sp1:2,10 sp1:3,6 sp1:3,7 sp1:3,8 sp1:3,9 sp1:3,10",
         None,
     ),
+}
+
+
+DIGITS = "0123456789a"
+
+# What the plain backtracking search (no unit-orbit pruning) returned on
+# permuted_random(n, seed): the labels of v0, v1, ... as digits, and the
+# first 12 hex digits of the SHA-256 of the certificate's entry signatures;
+# None where no labeling exists.
+RECORDED_SEARCHES = {
+    (5, 0): ('04312', '02c52c4c7321'),
+    (5, 1): ('01234', 'f756ec220b4c'),
+    (5, 2): ('31420', '7004552da070'),
+    (5, 3): ('04123', 'f756ec220b4c'),
+    (5, 4): ('13204', 'f756ec220b4c'),
+    (5, 5): ('31204', '19b37cdd564b'),
+    (5, 6): ('23104', 'be98ce55c494'),
+    (5, 7): ('04312', '19b37cdd564b'),
+    (5, 8): ('43210', 'f756ec220b4c'),
+    (5, 9): ('10324', '02c52c4c7321'),
+    (5, 10): ('32410', 'a7043326abc2'),
+    (5, 11): ('14203', '02c52c4c7321'),
+    (5, 12): ('42013', '02c52c4c7321'),
+    (5, 13): ('02413', '19b37cdd564b'),
+    (5, 14): ('04123', '7004552da070'),
+    (6, 0): ('215034', '737c9d498b89'),
+    (6, 1): ('345120', '557fc9b5ded0'),
+    (6, 2): None,
+    (6, 3): ('215034', '557fc9b5ded0'),
+    (6, 4): ('035421', '557fc9b5ded0'),
+    (6, 5): ('054321', '02c52c4c7321'),
+    (6, 6): ('501324', '02c52c4c7321'),
+    (6, 7): ('042315', 'beb641576d6b'),
+    (6, 8): None,
+    (6, 9): ('043251', '737c9d498b89'),
+    (6, 10): ('245031', '02c52c4c7321'),
+    (6, 11): ('051432', '737c9d498b89'),
+    (6, 12): ('243051', '737c9d498b89'),
+    (6, 13): ('054312', 'b7e29b119615'),
+    (6, 14): ('204351', '307c27933645'),
+    (7, 0): ('2461035', '4ff05c30eeca'),
+    (7, 1): ('6023451', '5b7d03a90caa'),
+    (7, 2): ('4120635', '79d9e71a3002'),
+    (7, 3): ('5214063', '5b7d03a90caa'),
+    (7, 4): ('5610234', '5b7d03a90caa'),
+    (7, 5): ('4016523', 'b8af02cce170'),
+    (7, 6): ('5264130', 'b8af02cce170'),
+    (7, 7): ('6025134', '29328fc78b37'),
+    (7, 8): ('0153246', '5b7d03a90caa'),
+    (7, 9): ('4326015', '4f194ae5ac03'),
+    (7, 10): ('5132406', 'b8af02cce170'),
+    (7, 11): ('4623510', '4f194ae5ac03'),
+    (7, 12): ('3642150', 'fdb92d6d01bf'),
+    (7, 13): ('3015246', 'ebb79c060c53'),
+    (7, 14): ('5234106', 'c9825ab61e4c'),
+    (8, 0): ('62405731', '02c52c4c7321'),
+    (8, 1): ('16357402', 'f0e4a8be8058'),
+    (8, 2): ('23075146', '02c52c4c7321'),
+    (8, 3): ('21370465', 'f0e4a8be8058'),
+    (8, 4): None,
+    (8, 5): ('43257601', 'da4c7ec90503'),
+    (8, 6): ('72163450', '02c52c4c7321'),
+    (8, 7): ('45027613', '6c0aaf61fd51'),
+    (8, 8): None,
+    (8, 9): ('24135670', '61696e5648ea'),
+    (8, 10): ('62074531', '1cb0e7bbdc39'),
+    (8, 11): None,
+    (8, 12): None,
+    (8, 13): ('47351602', '75602a82b2d1'),
+    (8, 14): ('67510243', '4c582e9399c5'),
+    (9, 0): ('642371508', '2d2ed66929ef'),
+    (9, 1): ('307481562', 'fabf0efc2749'),
+    (9, 2): ('351486027', '8475e91442f4'),
+    (9, 3): None,
+    (9, 4): None,
+    (9, 5): ('156748320', '73a19c5cdaf2'),
+    (9, 6): ('486130275', '37a81e022aeb'),
+    (9, 7): ('471038562', '5c14868055b7'),
+    (9, 8): None,
+    (9, 9): ('042785361', '02c52c4c7321'),
+    (9, 10): ('182706534', '5da75867d699'),
+    (9, 11): ('316427508', '02c52c4c7321'),
+    (9, 12): ('245618307', '02c52c4c7321'),
+    (9, 13): ('150238764', '37eb39e33d7b'),
+    (9, 14): ('074158236', '71cc77917fc9'),
+    (10, 0): ('8130275649', '6e8656b43ce3'),
+    (10, 1): None,
+    (10, 2): ('3758649102', 'fac2ccbae1a4'),
+    (10, 3): ('4829163507', '2b22b64fa222'),
+    (10, 4): None,
+    (10, 5): ('4316092587', '128dd2837a4a'),
+    (10, 6): None,
+    (10, 7): ('0236954178', '907381b074d0'),
+    (10, 8): ('7081935462', 'c100624daae9'),
+    (10, 9): ('7328496051', '00f6c0a7f211'),
+    (10, 10): ('2987435160', 'd55d5e4353cb'),
+    (10, 11): ('3210867495', '00f6c0a7f211'),
+    (10, 12): ('7203548916', '00f6c0a7f211'),
+    (10, 13): ('0318695472', '7bfcb2ed1eb5'),
+    (10, 14): ('2608719453', 'aa737b4780d5'),
+    (11, 0): ('a2658034917', '50a25468af31'),
+    (11, 1): None,
+    (11, 2): ('02538a19764', 'c59244820c95'),
+    (11, 3): ('5913847206a', '9598a6305f54'),
+    (11, 4): None,
+    (11, 5): ('71094682a35', '02c52c4c7321'),
+    (11, 6): ('3817a950624', '02c52c4c7321'),
+    (11, 7): ('53968a47120', 'bc6a18d2c35a'),
+    (11, 8): ('3a685142097', '94c9f542ad06'),
+    (11, 9): ('0a492851637', 'daf97dcf0001'),
+    (11, 10): ('258493a1607', '02c52c4c7321'),
+    (11, 11): ('0a142758396', '76b9d3530036'),
+    (11, 12): ('890a7534216', 'daf97dcf0001'),
+    (11, 13): None,
+    (11, 14): ('107a9463852', '52227ef7a867'),
 }
 
 
@@ -385,10 +483,38 @@ class TestSearchParity:
         with pytest.raises(BudgetExceededError):
             search_labeling(10, abstract, budget=10_000)
         assert search_labeling(10, abstract, budget=200_000) is None
+        assert search_labeling(10, abstract, budget=16_144) is None
+        with pytest.raises(BudgetExceededError):
+            search_labeling(10, abstract, budget=16_143)
+
+    @pytest.mark.parametrize("case", sorted(RECORDED_SEARCHES))
+    def test_recorded_labeling(self, case):
+        n, seed = case
+        abstract = permuted_random(n, seed)
+        found = search_labeling(n, abstract)
+        if RECORDED_SEARCHES[case] is None:
+            assert found is None
+            return
+        labels, digest = RECORDED_SEARCHES[case]
+        labeling, _, cert = found
+        mapping = labeling.mapping
+        assert "".join(DIGITS[mapping[f"v{v}"]] for v in range(n)) == labels
+        signature = " ".join(entry_signature(e) for e in cert.entries)
+        assert hashlib.sha256(signature.encode()).hexdigest()[:12] == digest
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(5, 7), seed=st.integers(0, 10_000))
     def test_verdict_matches_exhaustive_oracle(self, n, seed):
+        self.check_verdict_against_oracle(n, seed)
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_verdict_matches_exhaustive_oracle_n8(self, seed):
+        # the oracle sweeps 8! labelings to prove "none", about 2 s each
+        self.check_verdict_against_oracle(8, seed)
+
+    @staticmethod
+    def check_verdict_against_oracle(n, seed):
         abstract = permuted_random(n, seed)
         ours = search_labeling(n, abstract)
         assert (ours is None) == (exhaustive_labeling_oracle(n, abstract) is None)
@@ -514,27 +640,66 @@ def spec_options(vertices, n):
     return options
 
 
+def structured_sets(n, rng):
+    """Sets of Z_n shaped like each case the option generator tells apart,
+    for every step k: one run, one whole cycle, two runs, two whole cycles,
+    and a run plus one stray member. Sizes stay small, because the spec
+    costs O(r^3) per step."""
+    for k in range(1, n // 2 + 1):
+        g = gcd(k, n)
+        cycle = n // g
+
+        def run(start, length):
+            return {(start + i * k) % n for i in range(length)}
+
+        s = rng.randrange(n)
+        yield run(s, rng.randint(2, min(cycle, 9)))
+        if cycle <= 12:
+            yield run(s, cycle)
+        half = rng.randint(1, min(cycle // 2, 5))
+        yield run(s, half) | run(s + rng.randint(half + 1, n - half) * k, half)
+        yield run(s, half) | run(s + rng.randrange(1, n), half)
+        if g > 1 and cycle <= 6:
+            yield run(s, cycle) | run(s + rng.randrange(1, g), cycle)
+        yield run(s, rng.randint(2, min(cycle, 8))) | {rng.randrange(n)}
+
+
 class TestOptionGenerator:
     def test_matches_spec_on_every_subset(self):
-        for n in range(2, 10):
+        for n in range(2, 13):
             for size in range(2, n + 1):
                 for vs in combinations(range(n), size):
                     spec = spec_options(vs, n)
                     assert list(arithmetic._iter_options(vs, n)) == spec
                     assert element_options(vs, n) == tuple(spec)
 
+    def test_matches_spec_on_structured_sets(self):
+        rng = random.Random(13)
+        checked = 0
+        for n in range(13, 61):
+            for vs in structured_sets(n, rng):
+                if len(vs) < 2:
+                    continue
+                vs = sorted(vs)
+                assert element_options(vs, n) == tuple(spec_options(vs, n))
+                checked += 1
+        assert checked > 3000
+
     def test_even_elements_build_only_their_first_option(self, monkeypatch):
-        calls = []
-        original = arithmetic.split_orderings
+        built = []
 
-        def counted(vertices, step, n):
-            calls.append(step)
-            return original(vertices, step, n)
+        def counted(kind):
+            def build(*parts):
+                built.append(kind)
+                return kind(*parts)
 
-        monkeypatch.setattr(arithmetic, "split_orderings", counted)
+            return build
+
+        for name in ("SingleCertificate", "SplitCertificate"):
+            monkeypatch.setattr(arithmetic, name, counted(getattr(arithmetic, name)))
         d = trivial_edges(60)
         assert find_certificate(d) is not None
-        assert len(calls) <= len(d.elements)
+        assert len(built) == len(d.elements)
 
 
 class TestFindCertificateFamilies:

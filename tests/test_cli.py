@@ -222,6 +222,14 @@ class TestVerify:
         )
         assert captured.out == ""
 
+    def test_missing_header_has_no_position(self, e3, tmp_path, capsys):
+        col = tmp_path / "headless.txt"
+        col.write_text("# c\ncolor 0 0\n")
+        assert cli.main(["verify", e3, str(col)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: missing 'colors-used <int>' header\n"
+        assert captured.out == ""
+
     def test_index_mismatch_has_no_position(self, e3, tmp_path, capsys):
         col = tmp_path / "short.txt"
         col.write_text("colors-used 1\ncolor 0 0\ncolor 1 0\n")

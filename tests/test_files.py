@@ -70,6 +70,13 @@ class TestInstanceFormat:
         assert exc.value.line == 2
         assert exc.value.column == 11
 
+    def test_bad_token_column_is_its_own(self):
+        # "e" also occurs in the keyword; the column is the token's own
+        with pytest.raises(ParseError) as exc:
+            parse_instance("n 3\nelement 0 1 e\n")
+        assert (exc.value.line, exc.value.column) == (2, 13)
+        assert "vertex: 'e' is not an integer" in str(exc.value)
+
     def test_semantic_errors_still_raise_validation(self):
         with pytest.raises(ValidationError):
             parse_instance("n 3\nelement 0 1\nelement 0 2\n")
@@ -108,6 +115,21 @@ class TestColoringFormat:
             parse_coloring("# a\ncolor 0 0\n\ncolors-used  3\ncolor 1 1\n")
         assert (exc.value.line, exc.value.column) == (4, 14)
         assert "declares colors-used 3 but uses 2 colors" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "parse, text, header",
+    [
+        (parse_instance, "# empty\nauto-edges\n", "n <int>"),
+        (parse_coloring, "# c\ncolor 0 0\n", "colors-used <int>"),
+        (parse_hypergraph, "edge A : x y\n", "edges <int>"),
+    ],
+)
+def test_missing_header_has_no_position(parse, text, header):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (None, None)
+    assert str(exc.value) == f"missing '{header}' header"
 
 
 class TestHypergraphFormat:
