@@ -485,7 +485,7 @@ def search_labeling(
       gcd(x, n), whose least member is that gcd, a divisor. A subtree
       without a solution thus proves its whole orbit has none, and the
       first solution in plain order lies below a divisor: the labelings
-      returned are exactly those of the plain search, in fewer nodes.
+      returned are exactly those of the plain search, in no more nodes.
 
     One search asks for the same few hundred label sets tens of thousands of
     times, so it keeps an index from a label set's bitmask (bit x set for
