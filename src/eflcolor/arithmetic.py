@@ -421,21 +421,31 @@ def find_certificate(d: CliqueDecomposition) -> ArithmeticCertificate | None:
 
 
 def check_certificate(d: CliqueDecomposition, cert: ArithmeticCertificate) -> bool:
-    """Re-verify a certificate: coverage per element and distinct centrals."""
+    """Re-verify a certificate: coverage per element and distinct centrals.
+
+    Every progression must be a k-progression of Z_n with 1 <= k <= n // 2
+    whose terms are distinct, so that no term, and no central, repeats.
+    """
     if len(cert.entries) != len(d.elements):
         return False
     for elem, entry in zip(d.elements, cert.entries):
         if entry.covered != elem.vertex_set:
             return False
         if isinstance(entry, SplitCertificate):
+            progressions = (entry.first, entry.second)
             if entry.first.length != entry.second.length:
                 return False
             if entry.first.term_set & entry.second.term_set:
                 return False
             if entry.first.step != entry.second.step:
                 return False
-        if len(set(entry.covered)) != elem.order:
-            return False
+        else:
+            progressions = (entry.progression,)
+        for p in progressions:
+            if p.modulus != d.n or not 1 <= p.step <= d.n // 2:
+                return False
+            if len(p.term_set) != p.length:
+                return False
     centrals = [c for _, c in cert.centrals]
     return len(centrals) == len(set(centrals))
 

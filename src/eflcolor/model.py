@@ -4,14 +4,18 @@ Vertices of K_n are the residues 0..n-1. A decomposition is a partition of
 the edge set of K_n into complete subgraphs ("elements"), each on at least
 two vertices. Colorings assign one color per element; a coloring is proper
 when elements that share a vertex receive different colors, i.e. when it is
-a proper vertex coloring of the intersection (conflict) graph.
+a proper vertex coloring of the intersection (conflict) graph. That graph is
+the union of one clique per vertex of K_n, the elements through the vertex,
+so properness is checked clique by clique: the elements through each vertex
+must have pairwise distinct colors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError, Violation
 
@@ -56,22 +60,33 @@ class CliqueDecomposition:
 
 @dataclass(frozen=True)
 class ConflictGraph:
-    """Intersection graph of a decomposition.
+    """Intersection graph of a decomposition, stored as its vertex cliques.
 
     Nodes are element indices; i and j are adjacent iff their vertex sets
-    meet. For a valid decomposition the intersection is a single vertex,
-    recorded in ``shared_vertex``.
+    meet. ``cliques[v]`` lists the elements through K_n vertex v in
+    ascending order, and every edge of the graph lies in one of them. For a
+    valid decomposition two elements meet in a single vertex, so each edge
+    lies in exactly one clique.
     """
 
     node_count: int
-    neighbors: tuple[tuple[int, ...], ...]
-    shared_vertex: Mapping[tuple[int, int], int] = field(hash=False)
+    cliques: tuple[tuple[int, ...], ...]
 
-    def adjacent(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.shared_vertex
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's neighbors, ascending; built on first use.
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self.shared_vertex))
+        ValueError if two elements share two vertices, which an exact edge
+        cover rules out.
+        """
+        neighbor_sets: list[set[int]] = [set() for _ in range(self.node_count)]
+        for members in self.cliques:
+            for i, j in combinations(members, 2):
+                if j in neighbor_sets[i]:
+                    raise ValueError(f"elements {i},{j} share two vertices")
+                neighbor_sets[i].add(j)
+                neighbor_sets[j].add(i)
+        return tuple(tuple(sorted(s)) for s in neighbor_sets)
 
 
 @dataclass(frozen=True)
@@ -132,34 +147,27 @@ def validate_decomposition(
 
 
 def intersection_graph(d: CliqueDecomposition) -> ConflictGraph:
-    """Build the conflict graph; adjacency means a (unique) shared vertex."""
-    m = len(d.elements)
-    shared: dict[tuple[int, int], int] = {}
-    neighbor_sets: list[set[int]] = [set() for _ in range(m)]
-    for v, members in enumerate(d.vertex_elements()):
-        for i, j in combinations(members, 2):
-            key = (i, j)
-            # exact edge cover forces |V(G_i) ∩ V(G_j)| <= 1
-            if key in shared:
-                raise ValueError(f"elements {i},{j} share two vertices")
-            shared[key] = v
-            neighbor_sets[i].add(j)
-            neighbor_sets[j].add(i)
-
-    neighbors = tuple(tuple(sorted(s)) for s in neighbor_sets)
-    return ConflictGraph(m, neighbors, shared)
+    """The conflict graph: one clique per K_n vertex, its elements."""
+    return ConflictGraph(len(d.elements), tuple(map(tuple, d.vertex_elements())))
 
 
 def check_proper(d: CliqueDecomposition, coloring: Sequence[int]) -> Verdict:
-    """Verdict on a total element coloring: OK or the full conflict list."""
+    """Verdict on a total element coloring: OK or the full conflict list.
+
+    The coloring is proper iff each vertex clique of the conflict graph has
+    pairwise distinct colors. Conflicts come sorted by element pair.
+    """
     if len(coloring) != len(d.elements):
         raise ValueError(
             f"coloring has {len(coloring)} entries for {len(d.elements)} elements"
         )
-    graph = intersection_graph(d)
-    conflicts = [
-        (i, j, v)
-        for (i, j), v in sorted(graph.shared_vertex.items())
-        if coloring[i] == coloring[j]
-    ]
+    conflicts: list[tuple[int, int, int]] = []
+    for v, members in enumerate(intersection_graph(d).cliques):
+        by_color: dict[int, list[int]] = {}
+        for i in members:
+            by_color.setdefault(coloring[i], []).append(i)
+        if len(by_color) < len(members):
+            for same in by_color.values():
+                conflicts.extend((i, j, v) for i, j in combinations(same, 2))
+    conflicts.sort()
     return Verdict(not conflicts, tuple(conflicts), len(set(coloring)))

@@ -22,7 +22,7 @@ from .arithmetic import (
     find_certificate,
 )
 from .errors import TooLargeError
-from .model import CliqueDecomposition, Element, intersection_graph
+from .model import CliqueDecomposition, Element, check_proper, intersection_graph
 
 ENUMERATION_LIMIT = 6
 ORACLE_LABELING_LIMIT = 8
@@ -170,23 +170,6 @@ def _lower_bound(neighbors: Sequence[Sequence[int]], n: int) -> int:
     return max(1, len(_greedy_clique(neighbors)), packing_bound)
 
 
-def _checked_hint(
-    neighbors: Sequence[Sequence[int]], hint: Sequence[int]
-) -> tuple[int, ...]:
-    """``hint`` renumbered 0..k-1 by first appearance; ValueError unless it
-    is a proper coloring of the conflict graph ``neighbors``."""
-    if len(hint) != len(neighbors):
-        raise ValueError(
-            f"upper hint has {len(hint)} entries for {len(neighbors)} elements"
-        )
-    for i, ns in enumerate(neighbors):
-        for j in ns:
-            if hint[i] == hint[j]:
-                raise ValueError(f"upper hint gives elements {i},{j} one color")
-    renumber: dict[int, int] = {}
-    return tuple(renumber.setdefault(c, len(renumber)) for c in hint)
-
-
 def exact_chromatic_index(
     d: CliqueDecomposition,
     budget: int = DEFAULT_COLORING_BUDGET,
@@ -201,17 +184,23 @@ def exact_chromatic_index(
     meets the lower bound. The search closes whatever gap remains.
 
     ``upper_hint`` is a second upper bound: any coloring of the elements,
-    such as the n-coloring of an arithmetic certificate. It must be proper
-    and have one entry per element, else ValueError. It replaces the greedy
-    witness only when it uses strictly fewer colors, renumbered 0..k-1 in
-    order of first appearance; otherwise the result is the unhinted one.
+    such as the n-coloring of an arithmetic certificate. It must have one
+    entry per element and pass ``check_proper``, else ValueError. It
+    replaces the greedy witness only when it uses strictly fewer colors,
+    renumbered 0..k-1 in order of first appearance; otherwise the result is
+    the unhinted one.
     ``sweep`` and the tests that check chi <= n call this without a hint, so
     that check stays independent of the construction it checks.
     """
+    if upper_hint is not None:
+        verdict = check_proper(d, upper_hint)
+        if not verdict.ok:
+            i, j, _ = verdict.conflicts[0]
+            raise ValueError(f"upper hint gives elements {i},{j} one color")
+        renumber: dict[int, int] = {}
+        upper_hint = tuple(renumber.setdefault(c, len(renumber)) for c in upper_hint)
     graph = intersection_graph(d)
     m = graph.node_count
-    if upper_hint is not None:
-        upper_hint = _checked_hint(graph.neighbors, upper_hint)
     if m == 0:
         return ExactResult(0, (), 0)
     lower = _lower_bound(graph.neighbors, d.n)
@@ -247,45 +236,22 @@ def exhaustive_labeling_oracle(
     return None
 
 
-def enumerate_decompositions(
-    n: int, dedup: bool = False
-) -> Iterator[CliqueDecomposition]:
+def enumerate_decompositions(n: int) -> Iterator[CliqueDecomposition]:
     """Stream every partition of E(K_n) into cliques of order >= 2.
 
     Decompositions are labeled; each is emitted exactly once. The recursion
     always covers the lexicographically smallest uncovered edge, so every
-    partition corresponds to a unique choice sequence. With ``dedup`` (only
-    for n <= 5) isomorphic copies are suppressed via a canonical form under
-    vertex permutations.
+    partition corresponds to a unique choice sequence.
     """
     if n > ENUMERATION_LIMIT:
         raise TooLargeError(f"exhaustive enumeration refused for n={n} > {ENUMERATION_LIMIT}")
-    if dedup and n > 5:
-        raise TooLargeError("canonical-form dedup supported only for n <= 5")
 
     all_edges = list(combinations(range(n), 2))
-    seen_keys: set[tuple] = set()
-    perms = list(permutations(range(n))) if dedup else []
-
-    def canonical_key(elements: list[tuple[int, ...]]) -> tuple:
-        best = None
-        for perm in perms:
-            relabeled = tuple(
-                sorted(tuple(sorted(perm[v] for v in elem)) for elem in elements)
-            )
-            if best is None or relabeled < best:
-                best = relabeled
-        return best  # type: ignore[return-value]
 
     def solve(
         uncovered: set[tuple[int, int]], chosen: list[tuple[int, ...]]
     ) -> Iterator[CliqueDecomposition]:
         if not uncovered:
-            if dedup:
-                key = canonical_key(chosen)
-                if key in seen_keys:
-                    return
-                seen_keys.add(key)
             yield CliqueDecomposition(
                 n, tuple(Element(elem) for elem in chosen)
             )

@@ -225,6 +225,22 @@ class TestFindCertificate:
         assert [c for _, c in cert.centrals] == [3, 4, 8, 2, 6, 1, 5]
         assert check_certificate(d, cert)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            Progression(0, 3, 6, 9),  # 0, 3, 6 twice: the central drops out
+            Progression(0, 3, 3, 12),  # modulus 12 on K_9
+            Progression(6, 6, 3, 9),  # step 6 > 9 // 2, the 3-progression read backwards
+        ],
+    )
+    def test_malformed_progression_rejected(self, bad):
+        d = fixture("paper_k9")
+        cert = find_certificate(d)
+        assert d.elements[0].vertices == (0, 3, 6)
+        assert bad.term_set == d.elements[0].vertex_set
+        forged = ArithmeticCertificate((SingleCertificate(bad),) + cert.entries[1:])
+        assert not check_certificate(d, forged)
+
     def test_all_edges_always_certified(self):
         for n in range(2, 10):
             d = trivial_edges(n)

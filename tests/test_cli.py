@@ -17,6 +17,7 @@ from eflcolor import (
     ArithmeticCertificate,
     check_proper,
     cli,
+    decomposition_to_quasicluster,
     files,
     find_certificate,
     random_decomposition,
@@ -467,7 +468,9 @@ class TestDeterminism:
 # Texts in the shape of one of the three formats: a header, then its
 # directive lines with small and negative integers, now and then a line of
 # junk. Most fail to parse; some instances parse and reach every exit code
-# of color and chi, while a valid hypergraph is rare.
+# of color and chi. A valid hypergraph is rare among these, so a fourth
+# source writes the dual quasicluster of a random decomposition, with the
+# same junk line.
 _INTS = st.integers(-3, 9).map(str)
 _FEW = st.integers(-1, 5).map(str)
 _NAMES = st.sampled_from(("a", "b", "c", "d", "e"))
@@ -508,7 +511,7 @@ def _text(header, lines, junk, at) -> str:
     )
 
 
-_TEXTS = st.one_of(
+_FORMAT_TEXTS = st.one_of(
     st.tuples(
         header,
         st.lists(st.one_of(*lines), max_size=6),
@@ -517,6 +520,26 @@ _TEXTS = st.one_of(
     )
     for header, *lines in _FORMATS
 ).map(lambda args: _text(*args))
+
+
+def _hypergraph_text(d, junk, at) -> str:
+    """``d``'s dual quasicluster as ``convert --to hypergraph`` writes it,
+    with one line of junk (maybe empty) inserted at index ``at``."""
+    h, _ = decomposition_to_quasicluster(d)
+    lines = files.serialize_hypergraph(h).splitlines()
+    lines.insert(at, " ".join(junk))
+    return "\n".join(lines) + "\n"
+
+
+_HYPERGRAPH_TEXTS = st.tuples(
+    st.builds(random_decomposition, st.integers(3, 8), st.integers(0, 10_000)).filter(
+        lambda d: len(d.elements) > 1  # {K_n} has no dual
+    ),
+    st.one_of(st.just(()), _JUNK),
+    st.integers(0, 7),
+).map(lambda args: _hypergraph_text(*args))
+
+_TEXTS = st.one_of(_FORMAT_TEXTS, _HYPERGRAPH_TEXTS)
 
 
 class TestAnyTextExits:

@@ -13,9 +13,12 @@ from eflcolor import (
     check_proper,
     fixture,
     intersection_graph,
+    near_pencil,
     random_decomposition,
+    trivial_edges,
     validate_decomposition,
 )
+from eflcolor import model
 
 K9_TRIANGLES = [(0, 3, 6), (1, 4, 7), (5, 8, 2), (0, 2, 4), (4, 6, 8), (8, 1, 3), (3, 5, 7)]
 
@@ -84,7 +87,8 @@ class TestIntersectionGraph:
     def test_triangle_of_edges(self):
         d = validate_decomposition(3, [{0, 1}, {0, 2}, {1, 2}])
         g = intersection_graph(d)
-        assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 2)]
+        assert g.cliques == ((0, 1), (0, 2), (1, 2))
+        assert g.neighbors == ((1, 2), (0, 2), (0, 1))
 
     def test_k4_plus_pendants_in_k5(self):
         d = validate_decomposition(
@@ -93,21 +97,21 @@ class TestIntersectionGraph:
         g = intersection_graph(d)
         assert set(g.neighbors[0]) == {1, 2, 3, 4}
         # pendant edges all meet at vertex 4
-        for i, j in combinations(range(1, 5), 2):
-            assert g.adjacent(i, j)
-            assert g.shared_vertex[(i, j)] == 4
+        assert g.cliques[4] == (1, 2, 3, 4)
+        for i in range(1, 5):
+            assert g.neighbors[i] == tuple(j for j in range(5) if j != i)
 
     def test_paper_k9_g0_meets_h0_at_0(self):
         d = fixture("paper_k9")
         g = intersection_graph(d)
-        assert g.adjacent(0, 3)  # G_0 = {0,3,6}, H_0 = {0,2,4}
-        assert g.shared_vertex[(0, 3)] == 0
+        assert 3 in g.neighbors[0]  # G_0 = {0,3,6}, H_0 = {0,2,4}
+        assert [v for v, c in enumerate(g.cliques) if {0, 3} <= set(c)] == [0]
 
     def test_two_shared_vertices_raise(self):
         # built without validation: both elements cover the edge 0-1
         d = CliqueDecomposition(3, (Element((0, 1, 2)), Element((0, 1))))
         with pytest.raises(ValueError, match="elements 0,1 share two vertices"):
-            intersection_graph(d)
+            intersection_graph(d).neighbors
 
     def test_pairwise_intersections_at_most_one(self):
         for seed in range(10):
@@ -116,6 +120,19 @@ class TestIntersectionGraph:
             for a, b in combinations(sets, 2):
                 assert len(a & b) <= 1
 
+    def test_neighbors_match_brute_force(self):
+        named = [fixture(name) for name in ("paper_k9", "fano_k7", "sts9_k9")]
+        named += [trivial_edges(9), near_pencil(9)]
+        randoms = [random_decomposition(n, seed) for n in range(2, 13) for seed in range(5)]
+        for d in named + randoms:
+            sets = d.vertex_sets()
+            g = intersection_graph(d)
+            assert g.node_count == len(sets)
+            assert g.neighbors == tuple(
+                tuple(j for j, b in enumerate(sets) if j != i and a & b)
+                for i, a in enumerate(sets)
+            )
+
     def test_element_size_sum_identity(self):
         for seed in range(10):
             d = random_decomposition(8, seed)
@@ -123,12 +140,13 @@ class TestIntersectionGraph:
             assert total == d.n * (d.n - 1) // 2
 
 
-def brute_proper(d, coloring):
-    """Independent properness check straight from vertex-set intersections."""
-    for (i, ei), (j, ej) in combinations(enumerate(d.vertex_sets()), 2):
-        if ei & ej and coloring[i] == coloring[j]:
-            return False
-    return True
+def brute_conflicts(d, coloring):
+    """Independent conflict list straight from vertex-set intersections."""
+    return [
+        (i, j, min(ei & ej))
+        for (i, ei), (j, ej) in combinations(enumerate(d.vertex_sets()), 2)
+        if ei & ej and coloring[i] == coloring[j]
+    ]
 
 
 class TestCheckProper:
@@ -166,4 +184,20 @@ class TestCheckProper:
                 max_size=len(d.elements),
             )
         )
-        assert check_proper(d, coloring).ok == brute_proper(d, coloring)
+        verdict = check_proper(d, coloring)
+        expected = brute_conflicts(d, coloring)
+        assert verdict.conflicts == tuple(expected)
+        assert verdict.ok == (not expected)
+
+    def test_leaves_neighbors_unbuilt(self, monkeypatch):
+        built = []
+
+        def recording(d):
+            built.append(intersection_graph(d))
+            return built[-1]
+
+        monkeypatch.setattr(model, "intersection_graph", recording)
+        d = fixture("paper_k9")
+        assert not check_proper(d, [0] * len(d.elements)).ok
+        assert len(built) == 1
+        assert "neighbors" not in vars(built[0])
