@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import files
@@ -69,11 +70,19 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    if getattr(args, "json", False):
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in text:
-            print(line)
+    try:
+        if getattr(args, "json", False):
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            for line in text:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (``| head``); point stdout at devnull so the
+        # flush at interpreter exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -47,11 +47,19 @@ class UnknownFixtureError(KeyError):
 
 
 class BudgetExceededError(Exception):
-    """A search ran out of its node budget; the answer is unknown, not negative."""
+    """A search ran out of its node budget; the answer is unknown, not negative.
 
-    def __init__(self, budget: int):
+    ``interval`` is (lower, upper) when the search had narrowed the answer
+    to that range, as the exact colorer does for chi; else None.
+    """
+
+    def __init__(self, budget: int, interval: tuple[int, int] | None = None):
         self.budget = budget
-        super().__init__(f"search budget of {budget} nodes exceeded")
+        self.interval = interval
+        message = f"search budget of {budget} nodes exceeded"
+        if interval is not None:
+            message += f"; {interval[0]} <= chi <= {interval[1]}"
+        super().__init__(message)
 
 
 class VertexInOneElementError(Exception):

@@ -2,9 +2,10 @@
 and exhaustive enumeration of small decompositions.
 
 These are the independent checks behind the test suites: the exact colorer
-works on the bare conflict graph (so it serves the hypergraph view too), the
-labeling oracle sweeps all n! bijections, and the enumerator streams every
-clique partition of E(K_n) for small n.
+works on the conflict graph alone (so it serves the hypergraph view too),
+coloring it through its vertex cliques with one bitmask of used colors per
+clique, the labeling oracle sweeps all n! bijections, and the enumerator
+streams every clique partition of E(K_n) for small n.
 """
 
 from __future__ import annotations
@@ -21,8 +22,14 @@ from .arithmetic import (
     _backtrack,
     find_certificate,
 )
-from .errors import TooLargeError
-from .model import CliqueDecomposition, Element, check_proper, intersection_graph
+from .errors import BudgetExceededError, TooLargeError
+from .model import (
+    CliqueDecomposition,
+    ConflictGraph,
+    Element,
+    check_proper,
+    intersection_graph,
+)
 
 ENUMERATION_LIMIT = 6
 ORACLE_LABELING_LIMIT = 8
@@ -36,21 +43,44 @@ class ExactResult:
     nodes_explored: int
 
 
+def _incidence(graph: ConflictGraph) -> tuple[list[list[int]], list[int]]:
+    """Each node's cliques (its element's K_n vertices) and its degree.
+
+    The degree sums len(clique) - 1 over the node's cliques, which is its
+    neighbor count when two elements meet in at most one vertex.
+    """
+    incidence: list[list[int]] = [[] for _ in range(graph.node_count)]
+    degree = [0] * graph.node_count
+    for x, members in enumerate(graph.cliques):
+        for i in members:
+            incidence[i].append(x)
+            degree[i] += len(members) - 1
+    return incidence, degree
+
+
 def _greedy_on_order(
-    neighbor_sets: Sequence[set[int]], order: Sequence[int]
-) -> dict[int, int]:
-    colors: dict[int, int] = {}
+    incidence: Sequence[Sequence[int]], clique_count: int, order: Sequence[int]
+) -> list[int]:
+    """Lowest free color for each node in turn.
+
+    ``used[x]`` has bit c set once an element through K_n vertex x has color
+    c, so a node's taken colors are the OR over its own vertices.
+    """
+    colors = [0] * len(incidence)
+    used = [0] * clique_count
     for v in order:
-        taken = {colors[u] for u in neighbor_sets[v] if u in colors}
-        c = 0
-        while c in taken:
-            c += 1
-        colors[v] = c
+        taken = 0
+        for x in incidence[v]:
+            taken |= used[x]
+        free = ~taken & (taken + 1)  # lowest clear bit
+        colors[v] = free.bit_length() - 1
+        for x in incidence[v]:
+            used[x] |= free
     return colors
 
 
 def _iterated_greedy(
-    neighbors: Sequence[Sequence[int]], rounds: int = 80, floor: int = 0
+    graph: ConflictGraph, rounds: int = 80, floor: int = 0
 ) -> tuple[int, ...]:
     """Greedy re-coloring along permuted color classes; never gets worse.
 
@@ -63,18 +93,20 @@ def _iterated_greedy(
     ``floor`` a valid lower bound that changes nothing: the best coloring is
     replaced only by one with strictly fewer colors, and none exists.
     """
-    m = len(neighbors)
+    m = graph.node_count
     if m == 0:
         return ()
-    neighbor_sets = [set(ns) for ns in neighbors]
-    order = sorted(range(m), key=lambda v: (-len(neighbor_sets[v]), v))
-    colors = _greedy_on_order(neighbor_sets, order)
-    best = dict(colors)
+    incidence, degree = _incidence(graph)
+    cliques = len(graph.cliques)
+    order = sorted(range(m), key=lambda v: (-degree[v], v))
+    colors = _greedy_on_order(incidence, cliques, order)
+    # greedy colors are 0..k-1 with none skipped, so k is the top color + 1
+    best = colors
+    best_k = k = max(colors) + 1
     state = 12345
     for r in range(rounds):
-        if len(set(best.values())) <= floor:
+        if best_k <= floor:
             break
-        k = len(set(colors.values()))
         classes: list[list[int]] = [[] for _ in range(k)]
         for v in range(m):
             classes[colors[v]].append(v)
@@ -87,10 +119,11 @@ def _iterated_greedy(
             rot = state % k
             classes = classes[rot:] + classes[:rot]
             classes.reverse()
-        colors = _greedy_on_order(neighbor_sets, [v for cl in classes for v in cl])
-        if len(set(colors.values())) < len(set(best.values())):
-            best = dict(colors)
-    return tuple(best[v] for v in range(m))
+        colors = _greedy_on_order(incidence, cliques, [v for cl in classes for v in cl])
+        k = max(colors) + 1
+        if k < best_k:
+            best, best_k = colors, k
+    return tuple(best)
 
 
 def _greedy_clique(neighbors: Sequence[Sequence[int]]) -> list[int]:
@@ -114,51 +147,68 @@ def _greedy_clique(neighbors: Sequence[Sequence[int]]) -> list[int]:
 
 
 def _exact_color_graph(
-    neighbors: Sequence[Sequence[int]],
+    graph: ConflictGraph,
     lower: int,
     upper_witness: Sequence[int],
     budget: int,
 ) -> tuple[int, tuple[int, ...], int]:
     """Smallest k admitting a proper coloring, with a witness.
 
-    Backtracking with dynamic most-saturated-vertex selection and the
-    canonical rule that a vertex may open at most one fresh color, trying
-    targets upward from the lower bound. Deterministic tie-breaks.
+    Backtracking with dynamic most-saturated-vertex selection (Brelaz's
+    DSATUR) and the canonical rule that a vertex may open at most one fresh
+    color, trying targets upward from the lower bound. Deterministic
+    tie-breaks. A node's saturation is read off per-clique color masks:
+    ``used[x]`` has bit c set while an element through K_n vertex x has
+    color c. A proper partial coloring gives color c to at most one element
+    of each clique, so uncoloring a node clears its bit in each of its
+    cliques. A budget-out carries the interval the search had narrowed chi
+    to: every target below the one it was refuting is refuted, and the
+    witness bounds it from above.
     """
-    m = len(neighbors)
+    m = graph.node_count
     upper = len(set(upper_witness)) if m else 0
     if m == 0:
         return 0, (), 0
-    neighbor_sets = [frozenset(ns) for ns in neighbors]
+    incidence, degree = _incidence(graph)
+    used = [0] * len(graph.cliques)
     colors = [-1] * m  # -1 while uncolored, so max(colors) is the top color used
 
     def moves() -> list[tuple[int, int]]:
-        best_v = -1
-        best_key = None
+        # the uncolored node of highest (saturation, degree), lowest index on
+        # ties; degree < m, so saturation * m + degree orders those pairs
+        best_v = best_score = forbidden = -1
         for v in range(m):
             if colors[v] >= 0:
                 continue
-            sat = len({colors[u] for u in neighbor_sets[v] if colors[u] >= 0})
-            key = (-sat, -len(neighbor_sets[v]), v)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_v = v
-        forbidden = {colors[u] for u in neighbor_sets[best_v] if colors[u] >= 0}
+            taken = 0
+            for x in incidence[v]:
+                taken |= used[x]
+            score = taken.bit_count() * m + degree[v]
+            if score > best_score:
+                best_v, best_score, forbidden = v, score, taken
         limit = min(max(colors) + 1, k - 1)
-        return [(best_v, c) for c in range(limit + 1) if c not in forbidden]
+        return [(best_v, c) for c in range(limit + 1) if not forbidden >> c & 1]
 
     def place(move: tuple[int, int]) -> bool:
         v, c = move
         colors[v] = c
+        for x in incidence[v]:
+            used[x] |= 1 << c
         return True
 
     def unplace(move: tuple[int, int]) -> None:
-        colors[move[0]] = -1
+        v, c = move
+        colors[v] = -1
+        for x in incidence[v]:
+            used[x] &= ~(1 << c)
 
     nodes = 0
     for k in range(lower, upper):
         # a failed attempt unplaces every color, so the next starts blank
-        found, nodes = _backtrack(moves, place, unplace, m, budget, nodes)
+        try:
+            found, nodes = _backtrack(moves, place, unplace, m, budget, nodes)
+        except BudgetExceededError:
+            raise BudgetExceededError(budget, (k, upper)) from None
         if found:
             return k, tuple(colors), nodes
     return upper, tuple(upper_witness), nodes
@@ -204,10 +254,10 @@ def exact_chromatic_index(
     if m == 0:
         return ExactResult(0, (), 0)
     lower = _lower_bound(graph.neighbors, d.n)
-    upper_witness = _iterated_greedy(graph.neighbors, floor=lower)
+    upper_witness = _iterated_greedy(graph, floor=lower)
     if upper_hint is not None and len(set(upper_hint)) < len(set(upper_witness)):
         upper_witness = upper_hint
-    chi, witness, nodes = _exact_color_graph(graph.neighbors, lower, upper_witness, budget)
+    chi, witness, nodes = _exact_color_graph(graph, lower, upper_witness, budget)
     return ExactResult(chi, witness, nodes)
 
 
@@ -281,33 +331,3 @@ def enumerate_decompositions(n: int) -> Iterator[CliqueDecomposition]:
         return
 
     yield from solve(set(all_edges), [])
-
-
-def partition_cover_count(n: int) -> int:
-    """Independent slow count of clique partitions of E(K_n).
-
-    Enumerates all set partitions of the edge list and keeps the ones whose
-    blocks each form a complete graph on their vertex support. Exponential;
-    for cross-checking the fast enumerator at n <= 5 only.
-    """
-    edges = list(combinations(range(n), 2))
-
-    def is_clique_block(block: list[tuple[int, int]]) -> bool:
-        support = sorted({v for e in block for v in e})
-        return len(block) == len(support) * (len(support) - 1) // 2
-
-    def partitions(items: list) -> Iterator[list[list]]:
-        if not items:
-            yield []
-            return
-        head, rest = items[0], items[1:]
-        for part in partitions(rest):
-            for i in range(len(part)):
-                yield part[:i] + [[head] + part[i]] + part[i + 1 :]
-            yield [[head]] + part
-
-    count = 0
-    for part in partitions(edges):
-        if all(is_clique_block(block) for block in part):
-            count += 1
-    return count

@@ -328,7 +328,10 @@ class TestInProcess:
         finally:
             sys.setrecursionlimit(limit)
         assert code == 4
-        assert capsys.readouterr().err == "error: search budget of 2000 nodes exceeded\n"
+        assert (
+            capsys.readouterr().err
+            == "error: search budget of 2000 nodes exceeded; 11 <= chi <= 13\n"
+        )
 
     def test_violated_bound_exit_1(self, tmp_path, capsys, monkeypatch):
         d = trivial_edges(3)
@@ -450,6 +453,29 @@ class TestOutFile:
         proc = run_cli(*argv, "--out", str(out))
         assert proc.stdout == f"wrote {out}\n"
         assert out.read_bytes() == printed.encode("utf-8")
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_is_not_an_error(self, tmp_path):
+        # over 64 KiB of output, so the writer is still printing when the
+        # reader closes the pipe
+        inst = tmp_path / "e150.txt"
+        inst.write_text(files.serialize_instance(trivial_edges(150)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "eflcolor", "color", str(inst)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"colors-used 150\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert "Traceback" not in err
+        assert "Exception ignored" not in err
 
 
 class TestDeterminism:

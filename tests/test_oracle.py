@@ -1,8 +1,13 @@
 """Exact chromatic index, enumeration, and the full-sweep labeling oracle."""
 
+import hashlib
 import inspect
+import json
+import random
 import sys
-from itertools import product
+from itertools import combinations, product
+from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -23,7 +28,7 @@ from eflcolor import (
     validate_decomposition,
 )
 from eflcolor.model import intersection_graph
-from eflcolor.oracle import _iterated_greedy, _lower_bound, partition_cover_count
+from eflcolor.oracle import _greedy_on_order, _incidence, _iterated_greedy, _lower_bound
 
 
 def brute_chi(d):
@@ -115,6 +120,52 @@ class TestExactWitnesses:
         assert (result.chi, result.nodes_explored, result.witness) == WITNESSES[name]
 
 
+def parity_instances():
+    """The instances of ``exact_parity.json``: the named fixtures,
+    ``trivial_edges`` n = 3..21, ``near_pencil`` n = 4..30 and
+    ``random_decomposition`` n = 4..24 with seeds 0..4."""
+    named = [(name, lambda name=name: fixture(name)) for name in ("paper_k9", "fano_k7", "sts9_k9")]
+    edges = [(f"trivial_edges_{n}", lambda n=n: trivial_edges(n)) for n in range(3, 22)]
+    pencils = [(f"near_pencil_{n}", lambda n=n: near_pencil(n)) for n in range(4, 31)]
+    randoms = [
+        (f"random_{n}_{s}", lambda n=n, s=s: random_decomposition(n, s))
+        for n in range(4, 25)
+        for s in range(5)
+    ]
+    return [pytest.param(name, make, id=name) for name, make in named + edges + pencils + randoms]
+
+
+PARITY_PINS = json.loads((Path(__file__).parent / "exact_parity.json").read_text())
+
+
+def exact_outcome(d, hint):
+    """(chi, nodes, witness digest) at budget 2000, or "budget-out"."""
+    try:
+        result = exact_chromatic_index(d, budget=2000, upper_hint=hint)
+    except BudgetExceededError:
+        return "budget-out"
+    witness = ",".join(map(str, result.witness)).encode()
+    return [result.chi, result.nodes_explored, hashlib.sha256(witness).hexdigest()[:16]]
+
+
+class TestExactParity:
+    """Pins of the exact colorer, recorded before its greedy and DSATUR passes
+    moved from neighbor sets to per-clique color masks: unhinted, and hinted
+    with the certificate coloring where the given labels have one."""
+
+    @pytest.mark.parametrize("name, make", parity_instances())
+    def test_pinned(self, name, make):
+        d = make()
+        cert = find_certificate(d)
+        hint = None if cert is None else color_decomposition(d, cert).coloring
+        assert exact_outcome(d, None) == PARITY_PINS[f"{name}:plain"]
+        assert exact_outcome(d, hint) == PARITY_PINS[f"{name}:hinted"]
+
+    def test_every_pin_is_checked(self):
+        ids = {p.id for p in parity_instances()}
+        assert {key.rsplit(":", 1)[0] for key in PARITY_PINS} == ids
+
+
 class TestDeepColoring:
     """The exact colorer keeps its own stack, so Python's recursion limit does
     not bound how many elements it can color."""
@@ -129,6 +180,24 @@ class TestDeepColoring:
         finally:
             sys.setrecursionlimit(limit)
         assert exc.value.budget == 2000
+
+
+class TestBudgetInterval:
+    """A budget-out says how far the exact colorer got: every target below
+    the one it was refuting is refuted, and the witness bounds chi above."""
+
+    def test_interval_of_an_unfinished_search(self):
+        d = random_decomposition(24, 800875)
+        with pytest.raises(BudgetExceededError) as exc:
+            exact_chromatic_index(d, budget=2000)
+        assert exc.value.interval == (11, 13)
+        assert str(exc.value) == "search budget of 2000 nodes exceeded; 11 <= chi <= 13"
+
+    def test_interval_brackets_the_answer(self):
+        d = trivial_edges(13)  # chi = 13; no 13-coloring is found within 2000 nodes
+        with pytest.raises(BudgetExceededError) as exc:
+            exact_chromatic_index(d, budget=2000)
+        assert exc.value.interval == (13, 14)
 
 
 def fixtures_and_random(n_max, seeds):
@@ -159,7 +228,7 @@ class TestUpperHint:
     @pytest.mark.parametrize("d", fixtures_and_random(20, 2))
     def test_hint_not_better_changes_nothing(self, d):
         unhinted = exact_chromatic_index(d)
-        greedy = _iterated_greedy(intersection_graph(d).neighbors, rounds=0)
+        greedy = _iterated_greedy(intersection_graph(d), rounds=0)
         for hint in (greedy, [c + 7 for c in greedy], unhinted.witness):
             assert exact_chromatic_index(d, upper_hint=hint) == unhinted
 
@@ -177,27 +246,94 @@ class TestGreedyFloor:
 
     @pytest.mark.parametrize("d", fixtures_and_random(25, 8))
     def test_floor_keeps_witness(self, d):
-        neighbors = intersection_graph(d).neighbors
-        lower = _lower_bound(neighbors, d.n)
-        assert _iterated_greedy(neighbors, floor=lower) == _iterated_greedy(neighbors)
+        graph = intersection_graph(d)
+        lower = _lower_bound(graph.neighbors, d.n)
+        assert _iterated_greedy(graph, floor=lower) == _iterated_greedy(graph)
 
 
 class TestGreedy:
     def test_single_element(self):
         d = validate_decomposition(3, [(0, 1, 2)])
-        assert _iterated_greedy(intersection_graph(d).neighbors, rounds=0) == (0,)
+        assert _iterated_greedy(intersection_graph(d), rounds=0) == (0,)
 
     def test_edge_triangle(self):
         d = trivial_edges(3)
-        coloring = _iterated_greedy(intersection_graph(d).neighbors, rounds=0)
+        coloring = _iterated_greedy(intersection_graph(d), rounds=0)
         assert len(set(coloring)) == 3
 
     def test_always_proper(self):
         for n in range(3, 10):
             for seed in range(15):
                 d = random_decomposition(n, seed)
-                neighbors = intersection_graph(d).neighbors
-                assert check_proper(d, _iterated_greedy(neighbors, rounds=0)).ok
+                graph = intersection_graph(d)
+                assert check_proper(d, _iterated_greedy(graph, rounds=0)).ok
+
+
+def neighbor_set_greedy(neighbors, order):
+    """Reference greedy: each node takes the lowest color its colored
+    neighbors leave free, found by scanning its neighbor list."""
+    colors = {}
+    for v in order:
+        taken = {colors[u] for u in neighbors[v] if u in colors}
+        c = 0
+        while c in taken:
+            c += 1
+        colors[v] = c
+    return [colors[v] for v in range(len(neighbors))]
+
+
+class TestGreedyOnMasks:
+    """The greedy pass reads per-clique color masks; it must color exactly as
+    the neighbor-set greedy does, on any order."""
+
+    def test_matches_neighbor_set_greedy_on_random_orders(self):
+        rng = random.Random(2024)
+        for _ in range(50):
+            n = rng.randint(3, 20)
+            d = random_decomposition(n, rng.randrange(1000))
+            graph = intersection_graph(d)
+            incidence, _ = _incidence(graph)
+            order = list(range(graph.node_count))
+            rng.shuffle(order)
+            expected = neighbor_set_greedy(graph.neighbors, order)
+            assert _greedy_on_order(incidence, len(graph.cliques), order) == expected
+
+    @pytest.mark.parametrize("d", fixtures_and_random(12, 3))
+    def test_degree_is_neighbor_count(self, d):
+        graph = intersection_graph(d)
+        incidence, degree = _incidence(graph)
+        assert degree == [len(ns) for ns in graph.neighbors]
+        assert incidence == [list(e.vertices) for e in d.elements]
+
+
+def partition_cover_count(n: int) -> int:
+    """Independent slow count of clique partitions of E(K_n).
+
+    Enumerates all set partitions of the edge list and keeps the ones whose
+    blocks each form a complete graph on their vertex support. Exponential;
+    for cross-checking the fast enumerator at n <= 5 only.
+    """
+    edges = list(combinations(range(n), 2))
+
+    def is_clique_block(block: list[tuple[int, int]]) -> bool:
+        support = sorted({v for e in block for v in e})
+        return len(block) == len(support) * (len(support) - 1) // 2
+
+    def partitions(items: list) -> Iterator[list[list]]:
+        if not items:
+            yield []
+            return
+        head, rest = items[0], items[1:]
+        for part in partitions(rest):
+            for i in range(len(part)):
+                yield part[:i] + [[head] + part[i]] + part[i + 1 :]
+            yield [[head]] + part
+
+    count = 0
+    for part in partitions(edges):
+        if all(is_clique_block(block) for block in part):
+            count += 1
+    return count
 
 
 class TestEnumeration:
