@@ -542,7 +542,6 @@ def search_labeling(
         if len(elem) > 2:
             completed_at[max(position[v] for v in elem)].append(ei)
 
-    label = [0] * n  # label of each assigned vertex
     bit = [0] * n  # 1 << label of each assigned vertex
     used_labels = [False] * n
     depth = 0  # vertices assigned, in variable order
@@ -552,8 +551,6 @@ def search_labeling(
     centrals_of: list[tuple[int, ...]] = [()] * m  # of each completed odd element
     holder: dict[int, int] = {}  # central -> the odd element matched to it
     held: dict[int, int] = {}  # matched odd element -> its central
-    matched: list[int] = []  # matched odd elements, in completion order
-    marks: list[int] = []  # len(matched) before each placed label
 
     def entry(mask: int, size: int) -> tuple[int, ...] | None:
         labels = [x for x in range(n) if mask >> x & 1]
@@ -562,10 +559,11 @@ def search_labeling(
             return centrals or None
         return None if next(_iter_options(labels, n), None) is None else ()
 
-    def release(mark: int) -> None:
-        for ei in matched[mark:]:
-            del holder[held.pop(ei)]
-        del matched[mark:]
+    def release(level: int) -> None:
+        # an odd element is matched only at the level where it completes
+        for ei in completed_at[level]:
+            if ei in held:
+                del holder[held.pop(ei)]
 
     divisors = [x for x in range(1, n) if n % x == 0]
 
@@ -580,7 +578,6 @@ def search_labeling(
         nonlocal depth
         v = var_order[depth]
         bit[v] = 1 << lab
-        mark = len(matched)
         for ei in completed_at[depth]:
             elem = indexed[ei]
             mask = 0
@@ -596,27 +593,23 @@ def search_labeling(
                 centrals_of[ei] = centrals
                 if not _augment(ei, centrals_of, holder, held):
                     break
-                matched.append(ei)
         else:
-            label[v] = lab
             used_labels[lab] = True
-            marks.append(mark)
             depth += 1
             return True
-        if len(matched) > mark:
-            release(mark)
+        release(depth)
         return False
 
     def unplace(lab: int) -> None:
         nonlocal depth
         depth -= 1
-        release(marks.pop())
+        release(depth)
         used_labels[lab] = False
 
     found, _ = _backtrack(moves, place, unplace, n, budget)
     if not found:
         return None
-    labeling = Labeling(tuple((order[v], label[v]) for v in range(n)))
+    labeling = Labeling(tuple((order[v], bit[v].bit_length() - 1) for v in range(n)))
     relabeled = apply_labeling(n, elements, labeling)
     cert = find_certificate(relabeled)
     if cert is None:

@@ -69,7 +69,14 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
+        report = {
+            "command": args.command,
+            "ok": False,
+            "reason": "budget",
+            "budget": exc.budget,
+            "interval": None if exc.interval is None else list(exc.interval),
+        }
+        text, code = [], 4
     try:
         if getattr(args, "json", False):
             print(json.dumps(report, indent=2, sort_keys=True))
@@ -393,6 +400,7 @@ def _cmd_sweep(args):
     violated = 0
     timeouts = 0
     arithmetic = 0
+    unknown = 0
     total = 0
     for n, idx, d in _sweep_instances(args):
         total += 1
@@ -408,6 +416,7 @@ def _cmd_sweep(args):
         except BudgetExceededError:
             certified = None
             arith = "unknown"
+            unknown += 1
         else:
             arith = "no" if certified is None else "yes"
         theorem_colors = None if certified is None else certified[0].colors_used
@@ -433,7 +442,7 @@ def _cmd_sweep(args):
         )
     lines.append(
         f"summary instances {total} chi-le-n {total - violated - timeouts}/{total}"
-        f" arithmetic {arithmetic}/{total} timeouts {timeouts}"
+        f" arithmetic {arithmetic}/{total} timeouts {timeouts} unknown {unknown}"
     )
     report = {
         "command": "sweep",
@@ -443,6 +452,7 @@ def _cmd_sweep(args):
         "bound_holds": violated == 0,
         "timeouts": timeouts,
         "arithmetic_fraction": [arithmetic, total],
+        "unknown": unknown,
     }
     return report, lines, 0 if violated == 0 else 1
 

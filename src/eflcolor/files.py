@@ -108,6 +108,10 @@ def parse_instance(text: str) -> CliqueDecomposition:
                 )
             )
         elif keyword == "auto-edges":
+            if len(tokens) > 1:
+                raise ParseError(
+                    lineno, _token_column(raw, 1), "auto-edges takes no arguments"
+                )
             auto_edges = True
         else:
             raise ParseError(lineno, 1, f"unknown directive {keyword!r}")
@@ -134,6 +138,8 @@ def parse_coloring(text: str) -> ColoringDoc:
     for lineno, line, raw in _content_lines(text):
         tokens = line.split()
         if tokens[0] == "colors-used":
+            if declared is not None:
+                raise ParseError(lineno, 1, "duplicate header line")
             if len(tokens) != 2:
                 raise ParseError(lineno, 1, "header must be 'colors-used <int>'")
             declared = _int_token(tokens, 1, lineno, raw, "count")
@@ -177,6 +183,8 @@ def parse_hypergraph(text: str) -> tuple[tuple[str, ...], Quasicluster]:
     for lineno, line, raw in _content_lines(text):
         tokens = line.split()
         if tokens[0] == "edges":
+            if declared is not None:
+                raise ParseError(lineno, 1, "duplicate header line")
             if len(tokens) != 2:
                 raise ParseError(lineno, 1, "header must be 'edges <int>'")
             declared = _size_token(tokens, 1, lineno, raw, "edge count")

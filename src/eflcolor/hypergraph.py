@@ -55,9 +55,6 @@ class Hypergraph:
     def degrees(self) -> dict[HVertex, int]:
         return {v: len(idxs) for v, idxs in self.vertex_edges().items()}
 
-    def edges_containing(self, v: HVertex) -> list[int]:
-        return [i for i, edge in enumerate(self.edges) if v in edge]
-
 
 Quasicluster = Hypergraph
 

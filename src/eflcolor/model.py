@@ -46,9 +46,6 @@ class CliqueDecomposition:
     n: int
     elements: tuple[Element, ...]
 
-    def vertex_sets(self) -> list[frozenset[int]]:
-        return [e.vertex_set for e in self.elements]
-
     def vertex_elements(self) -> list[list[int]]:
         """For each vertex, the indices of the elements containing it, ascending."""
         containing: list[list[int]] = [[] for _ in range(self.n)]

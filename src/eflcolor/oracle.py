@@ -34,6 +34,7 @@ from .model import (
 ENUMERATION_LIMIT = 6
 ORACLE_LABELING_LIMIT = 8
 DEFAULT_COLORING_BUDGET = 5_000_000
+GREEDY_ROUNDS = 80
 
 
 @dataclass(frozen=True)
@@ -79,23 +80,20 @@ def _greedy_on_order(
     return colors
 
 
-def _iterated_greedy(
-    graph: ConflictGraph, rounds: int = 80, floor: int = 0
-) -> tuple[int, ...]:
+def _iterated_greedy(graph: ConflictGraph, floor: int = 0) -> tuple[int, ...]:
     """Greedy re-coloring along permuted color classes; never gets worse.
 
     Re-running greedy with whole color classes kept contiguous can only keep
     or lower the class count, so cycling through a fixed schedule of class
     orders (ascending size, descending size, seeded rotations) gives a strong
-    and fully deterministic upper bound.
+    and fully deterministic upper bound. It runs ``GREEDY_ROUNDS`` rounds
+    after the first greedy pass on the (-degree, index) order.
 
     The rounds stop early once the best coloring uses ``floor`` colors. With
     ``floor`` a valid lower bound that changes nothing: the best coloring is
     replaced only by one with strictly fewer colors, and none exists.
     """
     m = graph.node_count
-    if m == 0:
-        return ()
     incidence, degree = _incidence(graph)
     cliques = len(graph.cliques)
     order = sorted(range(m), key=lambda v: (-degree[v], v))
@@ -104,7 +102,7 @@ def _iterated_greedy(
     best = colors
     best_k = k = max(colors) + 1
     state = 12345
-    for r in range(rounds):
+    for r in range(GREEDY_ROUNDS):
         if best_k <= floor:
             break
         classes: list[list[int]] = [[] for _ in range(k)]
@@ -129,8 +127,6 @@ def _iterated_greedy(
 def _greedy_clique(neighbors: Sequence[Sequence[int]]) -> list[int]:
     """A maximal clique grown greedily from the best seed vertex."""
     m = len(neighbors)
-    if m == 0:
-        return []
     neighbor_sets = [set(ns) for ns in neighbors]
     best: list[int] = []
     degree_order = sorted(range(m), key=lambda i: (-len(neighbors[i]), i))
@@ -166,9 +162,7 @@ def _exact_color_graph(
     witness bounds it from above.
     """
     m = graph.node_count
-    upper = len(set(upper_witness)) if m else 0
-    if m == 0:
-        return 0, (), 0
+    upper = len(set(upper_witness))
     incidence, degree = _incidence(graph)
     used = [0] * len(graph.cliques)
     colors = [-1] * m  # -1 while uncolored, so max(colors) is the top color used

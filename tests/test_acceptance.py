@@ -324,12 +324,13 @@ def test_criterion_8_corollary_chain():
         # stronger form: no two odd-degree vertices can share any candidate
         # central edge under any per-vertex option choice
         degree = h.degrees()
+        vertex_edges = h.vertex_edges()
         label_to_edge = {j: j for j in range(d.n)}
         candidates = {}
         for u in result.vertex_order:
             if degree[u] % 2 == 0:
                 continue
-            labels = frozenset(label_to_edge[j] for j in h.edges_containing(u))
+            labels = frozenset(label_to_edge[j] for j in vertex_edges[u])
             possible = set()
             for option in element_options(labels, d.n):
                 if option.central is not None:

@@ -274,6 +274,48 @@ class TestFindCertificate:
         assert find_certificate(d) is not None
 
 
+class TestCheckCertificate:
+    """Each rejection of ``check_certificate``, on a certificate that differs
+    from a valid one in that respect alone."""
+
+    @staticmethod
+    def forge(d, i, entry):
+        entries = find_certificate(d).entries
+        assert check_certificate(d, ArithmeticCertificate(entries))
+        return ArithmeticCertificate(entries[:i] + (entry,) + entries[i + 1 :])
+
+    def test_wrong_entry_count(self):
+        d = fixture("paper_k9")
+        entries = find_certificate(d).entries
+        for wrong in (entries[:-1], entries + entries[-1:]):
+            assert not check_certificate(d, ArithmeticCertificate(wrong))
+
+    def test_wrong_covered_set(self):
+        d = trivial_edges(5)
+        entries = find_certificate(d).entries
+        swapped = (entries[1], entries[0]) + entries[2:]
+        assert not check_certificate(d, ArithmeticCertificate(swapped))
+
+    def test_split_halves_of_unequal_length(self):
+        d = fixture("paper_k9")  # element 0 is {0, 3, 6}
+        split = SplitCertificate(Progression(0, 3, 2, 9), Progression(6, 3, 1, 9))
+        assert split.covered == d.elements[0].vertex_set
+        assert not check_certificate(d, self.forge(d, 0, split))
+
+    def test_overlapping_split_halves(self):
+        d = fixture("paper_k9")
+        split = SplitCertificate(Progression(0, 3, 2, 9), Progression(3, 3, 2, 9))
+        assert split.covered == d.elements[0].vertex_set
+        assert not check_certificate(d, self.forge(d, 0, split))
+
+    def test_split_halves_with_different_steps(self):
+        d = trivial_edges(5)  # element 0 is {0, 1}
+        same = SplitCertificate(Progression(0, 1, 1, 5), Progression(1, 1, 1, 5))
+        assert check_certificate(d, self.forge(d, 0, same))
+        mixed = SplitCertificate(Progression(0, 1, 1, 5), Progression(1, 2, 1, 5))
+        assert not check_certificate(d, self.forge(d, 0, mixed))
+
+
 class TestSearchLabeling:
     def test_scrambled_paper_k9_found(self):
         d = fixture("paper_k9")

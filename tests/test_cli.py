@@ -266,6 +266,19 @@ class TestBudget:
         assert "# chi 3" in proc.stdout
         run_cli("color", e3, "--labeling", "search", "--budget", "0", expect=4)
 
+    def test_budget_out_json_report(self, e3):
+        args = ("color", e3, "--labeling", "search", "--budget", "0")
+        assert run_cli(*args, expect=4).stdout == ""
+        proc = run_cli(*args, "--json", expect=4)
+        assert proc.stderr == "error: search budget of 0 nodes exceeded\n"
+        assert json.loads(proc.stdout) == {
+            "command": "color",
+            "ok": False,
+            "reason": "budget",
+            "budget": 0,
+            "interval": None,
+        }
+
     def test_non_integer_budget_message_unchanged(self, e3):
         proc = run_cli("chi", e3, "--budget", "x", expect=2)
         assert "argument --budget: invalid int value: 'x'" in proc.stderr
@@ -332,6 +345,20 @@ class TestInProcess:
             capsys.readouterr().err
             == "error: search budget of 2000 nodes exceeded; 11 <= chi <= 13\n"
         )
+
+    def test_chi_budget_out_json_report_has_interval(self, tmp_path, capsys):
+        inst = tmp_path / "r24.txt"
+        inst.write_text(files.serialize_instance(random_decomposition(24, 800875)))
+        assert cli.main(["chi", str(inst), "--budget", "2000", "--json"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.endswith("; 11 <= chi <= 13\n")
+        assert json.loads(captured.out) == {
+            "command": "chi",
+            "ok": False,
+            "reason": "budget",
+            "budget": 2000,
+            "interval": [11, 13],
+        }
 
     def test_violated_bound_exit_1(self, tmp_path, capsys, monkeypatch):
         d = trivial_edges(3)
@@ -424,6 +451,14 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.err == "error: exhaustive sweeps stop at n=5\n"
         assert captured.out == ""
+
+    def test_unknown_counts_budget_outs(self):
+        args = ("sweep", "--n-max", "6", "--mode", "random", "--count", "5", "--budget", "0")
+        report = json.loads(run_cli(*args, "--json").stdout)
+        rows = [row for row in report["instances"] if row["arithmetic"] == "unknown"]
+        assert report["unknown"] == len(rows) == 4
+        summary = run_cli(*args).stdout.splitlines()[-1]
+        assert summary.endswith(" timeouts 0 unknown 4")
 
     def test_random_deterministic(self):
         args = ("sweep", "--n-max", "5", "--mode", "random", "--count", "4", "--seed", "9")

@@ -24,6 +24,9 @@ from eflcolor.files import (
 from eflcolor.hypergraph import decomposition_to_quasicluster
 
 
+K9_DUAL = decomposition_to_quasicluster(fixture("paper_k9"))[0]  # 9 edges
+
+
 class TestInstanceFormat:
     def test_round_trip_paper_k9(self):
         d = fixture("paper_k9")
@@ -130,6 +133,29 @@ def test_missing_header_has_no_position(parse, text, header):
         parse(text)
     assert (exc.value.line, exc.value.column) == (None, None)
     assert str(exc.value) == f"missing '{header}' header"
+
+
+@pytest.mark.parametrize(
+    "parse, text, line",
+    [
+        (parse_instance, "n 3\n# again\nn 3\nauto-edges\n", 3),
+        (parse_coloring, "colors-used 1\n" + serialize_coloring((0, 1, 2), 3), 2),
+        (parse_hypergraph, "edges 3\n" + serialize_hypergraph(K9_DUAL), 2),
+    ],
+    ids=["instance", "coloring", "hypergraph"],
+)
+def test_second_header_rejected(parse, text, line):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (line, 1)
+    assert str(exc.value).endswith("duplicate header line")
+
+
+def test_auto_edges_takes_no_arguments():
+    with pytest.raises(ParseError) as exc:
+        parse_instance("n 3\n  auto-edges please ignore me\n")
+    assert (exc.value.line, exc.value.column) == (2, 14)
+    assert str(exc.value).endswith("auto-edges takes no arguments")
 
 
 class TestHypergraphFormat:

@@ -116,7 +116,7 @@ class TestIntersectionGraph:
     def test_pairwise_intersections_at_most_one(self):
         for seed in range(10):
             d = random_decomposition(7, seed)
-            sets = d.vertex_sets()
+            sets = [e.vertex_set for e in d.elements]
             for a, b in combinations(sets, 2):
                 assert len(a & b) <= 1
 
@@ -125,7 +125,7 @@ class TestIntersectionGraph:
         named += [trivial_edges(9), near_pencil(9)]
         randoms = [random_decomposition(n, seed) for n in range(2, 13) for seed in range(5)]
         for d in named + randoms:
-            sets = d.vertex_sets()
+            sets = [e.vertex_set for e in d.elements]
             g = intersection_graph(d)
             assert g.node_count == len(sets)
             assert g.neighbors == tuple(
@@ -142,9 +142,10 @@ class TestIntersectionGraph:
 
 def brute_conflicts(d, coloring):
     """Independent conflict list straight from vertex-set intersections."""
+    sets = [e.vertex_set for e in d.elements]
     return [
         (i, j, min(ei & ej))
-        for (i, ei), (j, ej) in combinations(enumerate(d.vertex_sets()), 2)
+        for (i, ei), (j, ej) in combinations(enumerate(sets), 2)
         if ei & ej and coloring[i] == coloring[j]
     ]
 

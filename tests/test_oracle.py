@@ -228,8 +228,9 @@ class TestUpperHint:
     @pytest.mark.parametrize("d", fixtures_and_random(20, 2))
     def test_hint_not_better_changes_nothing(self, d):
         unhinted = exact_chromatic_index(d)
-        greedy = _iterated_greedy(intersection_graph(d), rounds=0)
-        for hint in (greedy, [c + 7 for c in greedy], unhinted.witness):
+        greedy = _iterated_greedy(intersection_graph(d))
+        worse = tuple(range(len(d.elements)))  # one color per element
+        for hint in (greedy, [c + 7 for c in greedy], unhinted.witness, worse):
             assert exact_chromatic_index(d, upper_hint=hint) == unhinted
 
     def test_certificate_coloring_decides_odd_trivial_edges(self):
@@ -254,11 +255,11 @@ class TestGreedyFloor:
 class TestGreedy:
     def test_single_element(self):
         d = validate_decomposition(3, [(0, 1, 2)])
-        assert _iterated_greedy(intersection_graph(d), rounds=0) == (0,)
+        assert _iterated_greedy(intersection_graph(d)) == (0,)
 
     def test_edge_triangle(self):
         d = trivial_edges(3)
-        coloring = _iterated_greedy(intersection_graph(d), rounds=0)
+        coloring = _iterated_greedy(intersection_graph(d))
         assert len(set(coloring)) == 3
 
     def test_always_proper(self):
@@ -266,7 +267,7 @@ class TestGreedy:
             for seed in range(15):
                 d = random_decomposition(n, seed)
                 graph = intersection_graph(d)
-                assert check_proper(d, _iterated_greedy(graph, rounds=0)).ok
+                assert check_proper(d, _iterated_greedy(graph)).ok
 
 
 def neighbor_set_greedy(neighbors, order):
