@@ -74,7 +74,7 @@ def main(argv: list[str] | None = None) -> int:
             "ok": False,
             "reason": "budget",
             "budget": exc.budget,
-            "interval": None if exc.interval is None else list(exc.interval),
+            "interval": exc.interval,
         }
         text, code = [], 4
     try:
