@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Collection, Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -285,48 +285,30 @@ def element_options(vertices: Iterable[int], n: int) -> tuple[ElementCertificate
     return tuple(_iter_options(vertices, n))
 
 
-def _distinct_representatives(
-    candidates: Sequence[Sequence[int]], blocked: Collection[int] = ()
-) -> list[int] | None:
-    """One member per list, no two alike and none blocked, or None.
-
-    This is the distinct-centrals question: a bipartite matching between the
-    lists and the vertices that covers every list (Hall's theorem). Kuhn's
-    augmenting-path method answers it in polynomial time: each list in turn
-    takes a free candidate, or frees a taken one by moving its holder along
-    an alternating path.
-    """
-    holder: dict[int, int] = {}
-    held: dict[int, int] = {}
-    for i in range(len(candidates)):
-        if not _augment(i, candidates, holder, held, blocked):
-            return None
-    return [held[i] for i in range(len(candidates))]
-
-
 def _augment(
-    i: int,
-    candidates,
-    holder: dict[int, int],
-    held: dict[int, int],
-    blocked: Collection[int] = (),
+    i: int, candidates, holder: dict[int, int], held: dict[int, int]
 ) -> bool:
     """Kuhn's step: add list i to a matching that covers the lists matched so far.
 
+    This answers the distinct-centrals question, one list at a time: a
+    bipartite matching between the lists and their members that covers
+    every list (Hall's theorem), grown by Kuhn's augmenting paths.
     ``holder`` maps each taken member to its list and ``held`` each matched
     list to its member. List i takes a free candidate, or frees a taken one
     by moving its holder along an alternating path, found depth first in
     candidate order on an explicit stack. With every other matched list
     covered, such a path exists iff the lists with i still have distinct
     representatives (Berge); when none exists the matching is left as it
-    was and False is returned.
+    was and False is returned. A path enters a list only through the member
+    it holds, which the path has then already visited, so a list narrowed to
+    that one member is never moved.
     """
     visited: set[int] = set()
     stack = [(i, iter(candidates[i]))]
     taken: list[int] = []  # the member each list on the stack is moving to
     while stack:
         for c in stack[-1][1]:
-            if c in visited or c in blocked:
+            if c in visited:
                 continue
             visited.add(c)
             taken.append(c)
@@ -384,10 +366,14 @@ def find_certificate(d: CliqueDecomposition) -> ArithmeticCertificate | None:
     its first in canonical order, and its other options are never built.
     Odd-order elements are decided fewest options first, each taking its
     first option in canonical order whose central is unused and still leaves
-    the remaining odd elements distinct centrals. A bipartite matching
-    decides that lookahead exactly, so this is the first solution a
-    backtracker in the same order would reach, found without backtracking.
-    Returns None iff no selection exists.
+    the remaining odd elements distinct centrals. One matching of all odd
+    elements to distinct centrals, kept for the whole call, decides that
+    lookahead exactly: an element is fixed by narrowing its list to the
+    central it holds, and an earlier central c is tried by moving the
+    element to c with one augmenting step, which succeeds iff the fixed
+    elements, this one on c and the rest still match. So this is the first
+    solution a backtracker in the same order would reach, found without
+    backtracking. Returns None iff no selection exists.
     """
     chosen: list[ElementCertificate] = []
     per_odd: dict[int, tuple[ElementCertificate, ...]] = {}
@@ -405,18 +391,23 @@ def find_certificate(d: CliqueDecomposition) -> ArithmeticCertificate | None:
     centrals = [
         list(dict.fromkeys(o.central for o in per_odd[i])) for i in odd_indices
     ]
-    used: set[int] = set()
-    for pos, idx in enumerate(odd_indices):
-        rest = centrals[pos + 1 :]
-        for c in centrals[pos]:
-            if c in used:
-                continue
-            if _distinct_representatives(rest, used | {c}) is not None:
-                break
-        else:
+    holder: dict[int, int] = {}  # central -> position in odd_indices
+    held: dict[int, int] = {}  # position in odd_indices -> its central
+    for pos in range(len(odd_indices)):
+        if not _augment(pos, centrals, holder, held):
             return None
-        used.add(c)
-        chosen[idx] = next(o for o in per_odd[idx] if o.central == c)
+    for pos, idx in enumerate(odd_indices):
+        mine = held[pos]
+        for c in centrals[pos]:  # stops at mine at the latest
+            if c == mine:
+                break
+            del holder[mine], held[pos]
+            centrals[pos] = [c]
+            if _augment(pos, centrals, holder, held):
+                break
+            holder[mine], held[pos] = pos, mine
+        centrals[pos] = [held[pos]]  # fixed: no later path can move it
+        chosen[idx] = next(o for o in per_odd[idx] if o.central == held[pos])
     return ArithmeticCertificate(tuple(chosen))
 
 

@@ -171,8 +171,10 @@ def _count(text: str) -> int:
 
 
 def _order(text: str) -> int:
-    """argparse type of ``--n`` and ``--n-max``: at most ``files.MAX_ORDER``."""
+    """argparse type of ``--n`` and ``--n-max``: 2 to ``files.MAX_ORDER``."""
     value = _int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
     if value > files.MAX_ORDER:
         raise argparse.ArgumentTypeError(
             f"must be at most {files.MAX_ORDER}, got {value}"

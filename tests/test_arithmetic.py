@@ -35,7 +35,6 @@ from eflcolor import (
     validate_decomposition,
 )
 from eflcolor import arithmetic
-from eflcolor.arithmetic import _distinct_representatives
 from eflcolor.oracle import exhaustive_labeling_oracle
 
 
@@ -240,6 +239,21 @@ class TestFindCertificate:
         assert bad.term_set == d.elements[0].vertex_set
         forged = ArithmeticCertificate((SingleCertificate(bad),) + cert.entries[1:])
         assert not check_certificate(d, forged)
+
+    def test_paper_k9_keeps_one_matching(self, monkeypatch):
+        # one step to match each odd element and one per earlier central it
+        # tries: 8 here, against 21 when every try rebuilt a matching
+        calls = []
+        augment = arithmetic._augment
+
+        def counted(*args):
+            calls.append(args[0])
+            return augment(*args)
+
+        monkeypatch.setattr(arithmetic, "_augment", counted)
+        cert = find_certificate(fixture("paper_k9"))
+        assert [c for _, c in cert.centrals] == [3, 4, 8, 2, 6, 1, 5]
+        assert len(calls) <= 2 * len(cert.centrals)
 
     def test_all_edges_always_certified(self):
         for n in range(2, 10):
@@ -581,47 +595,65 @@ class TestSearchParity:
             assert check_certificate(apply_labeling(n, abstract, labeling), cert)
 
 
-def brute_distinct_representatives(candidates, blocked=frozenset()):
+def brute_distinct_representatives(candidates):
     """The first distinct choice in backtracking order, or None."""
     return next(
-        (
-            list(pick)
-            for pick in product(*candidates)
-            if len(set(pick)) == len(pick) and not set(pick) & blocked
-        ),
+        (list(pick) for pick in product(*candidates) if len(set(pick)) == len(pick)),
         None,
     )
 
 
+def match_in_turn(candidates):
+    """Each list's member after ``_augment`` matches the lists one at a time."""
+    holder, held = {}, {}
+    for i in range(len(candidates)):
+        if not arithmetic._augment(i, candidates, holder, held):
+            return None
+    return [held[i] for i in range(len(candidates))]
+
+
+candidate_lists = st.lists(st.lists(st.integers(0, 6), max_size=4), max_size=6)
+
+
 class TestDistinctRepresentatives:
     def test_hall_violation(self):
-        assert _distinct_representatives([[1, 2], [1, 2], [2, 1]]) is None
-        assert _distinct_representatives([[1, 2], [1, 2], [2, 3]]) is not None
+        assert match_in_turn([[1, 2], [1, 2], [2, 1]]) is None
+        assert match_in_turn([[1, 2], [1, 2], [2, 3]]) is not None
 
-    def test_blocked_values_are_skipped(self):
-        assert _distinct_representatives([[1, 2], [2]], {1}) is None
-        assert _distinct_representatives([[1, 2], [3]], {2}) == [1, 3]
+    def test_narrowed_list_is_never_moved(self):
+        # list 0 holds 1; narrowed to [1], no path can move it on to 2
+        candidates = [[1, 2], [1]]
+        holder, held = {}, {}
+        assert arithmetic._augment(0, candidates, holder, held)
+        assert held == {0: 1}
+        candidates[0] = [1]
+        assert not arithmetic._augment(1, candidates, holder, held)
+        assert (holder, held) == ({1: 0}, {0: 1})
+        candidates[1] = [1, 3]
+        assert arithmetic._augment(1, candidates, holder, held)
+        assert held == {0: 1, 1: 3}
 
     def test_empty_list_has_no_representative(self):
-        assert _distinct_representatives([]) == []
-        assert _distinct_representatives([[1], []]) is None
+        assert match_in_turn([]) == []
+        assert match_in_turn([[1], []]) is None
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        candidates=st.lists(
-            st.lists(st.integers(0, 6), max_size=4), max_size=6
-        ),
-        blocked=st.sets(st.integers(0, 6), max_size=3),
-    )
-    def test_matches_brute_force(self, candidates, blocked):
-        chosen = _distinct_representatives(candidates, blocked)
-        assert (chosen is None) == (
-            brute_distinct_representatives(candidates, blocked) is None
-        )
+    @given(candidates=candidate_lists)
+    def test_matches_brute_force(self, candidates):
+        chosen = match_in_turn(candidates)
+        assert (chosen is None) == (brute_distinct_representatives(candidates) is None)
         if chosen is not None:
             assert len(set(chosen)) == len(chosen)
-            assert not set(chosen) & blocked
             assert all(c in cands for c, cands in zip(chosen, candidates))
+
+    @settings(max_examples=300, deadline=None)
+    @given(candidates=candidate_lists)
+    def test_failed_step_leaves_matching_unchanged(self, candidates):
+        holder, held = {}, {}
+        for i in range(len(candidates)):
+            before = dict(holder), dict(held)
+            if not arithmetic._augment(i, candidates, holder, held):
+                assert (holder, held) == before
 
 
 def backtracking_certificate(d):
@@ -684,6 +716,21 @@ class TestFindCertificateOrder:
         monkeypatch.setattr(arithmetic, "element_options", fake_options)
         cert = find_certificate(d)
         assert [entry.central for entry in cert.entries] == [2, 3, 1, 10, 11, 12, 13]
+
+    def test_kept_central_stays_fixed(self, monkeypatch):
+        # Element 0 keeps its first central 2. Element 1 tries 2 next; were
+        # element 0 not fixed on 2, a path would move it to 4 and element 2
+        # to 1, and two elements would end up on 2.
+        d = fixture("fano_k7")
+        centrals = [[2, 4], [2, 5], [4, 1, 3], [10], [11], [12], [13]]
+        by_set = {e.vertex_set: cs for e, cs in zip(d.elements, centrals)}
+
+        def fake_options(vs, n):
+            return tuple(SimpleNamespace(central=c) for c in by_set[frozenset(vs)])
+
+        monkeypatch.setattr(arithmetic, "element_options", fake_options)
+        cert = find_certificate(d)
+        assert [entry.central for entry in cert.entries] == [2, 5, 4, 10, 11, 12, 13]
 
 
 def spec_options(vertices, n):

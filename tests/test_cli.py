@@ -313,6 +313,20 @@ class TestSizeCaps:
         assert f"argument {option}: must be at most 500, got 501" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "args, option, value",
+        [
+            (("generate", "trivial_edges", "--n", "1"), "--n", 1),
+            (("sweep", "--n-max", "1"), "--n-max", 1),
+            (("sweep", "--n-max", "-3", "--mode", "random"), "--n-max", -3),
+        ],
+    )
+    def test_order_option_below_2_is_usage_error(self, args, option, value):
+        proc = run_cli(*args, expect=2)
+        assert "usage:" in proc.stderr
+        assert f"argument {option}: must be at least 2, got {value}" in proc.stderr
+        assert proc.stdout == ""
+
     def test_negative_count_is_usage_error(self):
         proc = run_cli("sweep", "--n-max", "3", "--mode", "random", "--count", "-2", expect=2)
         assert "argument --count: must not be negative, got -2" in proc.stderr
