@@ -19,6 +19,9 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
+from itertools import groupby
+from operator import itemgetter
 
 from . import files
 from .arithmetic import DEFAULT_NODE_BUDGET, find_certificate, search_labeling
@@ -227,41 +230,21 @@ def _certify(
 
 def _cmd_validate(args):
     text = _read(args.path)
-    if args.hypergraph:
-        try:
-            names, h = files.parse_hypergraph(text)
-        except ValidationError as exc:
-            return _invalid_report(exc)
-        report = {
-            "command": "validate",
-            "ok": True,
-            "kind": "hypergraph",
-            "edges": h.n,
-            "vertices": len(h.vertices()),
-            "violations": [],
-        }
-        lines = [f"valid hypergraph edges {h.n} vertices {len(h.vertices())}"]
-        return report, lines, 0
     try:
-        d = files.parse_instance(text)
+        if args.hypergraph:
+            h = files.parse_hypergraph(text)
+            kind, sizes = "hypergraph", {"edges": h.n, "vertices": len(h.vertices())}
+        else:
+            d = files.parse_instance(text)
+            kind, sizes = "decomposition", {"n": d.n, "elements": len(d.elements)}
     except ValidationError as exc:
-        return _invalid_report(exc)
-    report = {
-        "command": "validate",
-        "ok": True,
-        "kind": "decomposition",
-        "n": d.n,
-        "elements": len(d.elements),
-        "violations": [],
-    }
-    lines = [f"valid n {d.n} elements {len(d.elements)}"]
-    return report, lines, 0
-
-
-def _invalid_report(exc: ValidationError):
-    violations = [str(v) for v in exc.violations]
-    report = {"command": "validate", "ok": False, "violations": violations}
-    return report, ["invalid"] + violations, 1
+        violations = [str(v) for v in exc.violations]
+        report = {"command": "validate", "ok": False, "violations": violations}
+        return report, ["invalid"] + violations, 1
+    report = {"command": "validate", "ok": True, "kind": kind, **sizes, "violations": []}
+    words = ["valid"] + (["hypergraph"] if args.hypergraph else [])
+    words.extend(f"{key} {value}" for key, value in sizes.items())
+    return report, [" ".join(words)], 0
 
 
 def _cmd_color(args):
@@ -278,12 +261,13 @@ def _cmd_color(args):
             "labeling "
             + " ".join(f"{v}->{x}" for v, x in labeling_pairs)
         )
-    if args.explain:
-        comments.extend(
-            explain_element(i, entry) for i, entry in enumerate(cert.entries)
-        )
+    explain = (
+        [explain_element(i, entry) for i, entry in enumerate(cert.entries)]
+        if args.explain
+        else []
+    )
     out_text = files.serialize_coloring(
-        colored.coloring, colored.colors_used, tuple(comments)
+        colored.coloring, colored.colors_used, tuple(comments + explain)
     )
     report = {
         "command": "color",
@@ -305,7 +289,7 @@ def _cmd_color(args):
             if labeling_pairs is None
             else {str(v): x for v, x in labeling_pairs}
         ),
-        "explain": comments if args.explain else [],
+        "explain": explain,
     }
     return report, _output(out_text, args.out), 0
 
@@ -373,7 +357,7 @@ def _cmd_convert(args):
             h, comments=(f"element->vertex {pairs}",)
         )
     else:
-        names, h = files.parse_hypergraph(_read(args.path))
+        h = files.parse_hypergraph(_read(args.path))
         d, corr = quasicluster_to_decomposition(h)
         pairs = " ".join(
             f"{corr.element_to_vertex[i]}->{i}" for i in range(len(d.elements))
@@ -398,34 +382,19 @@ def _sweep_instances(args):
 
 def _cmd_sweep(args):
     rows = []
-    lines = [f"sweep mode {args.mode} n-max {args.n_max}"]
-    violated = 0
-    timeouts = 0
-    arithmetic = 0
-    unknown = 0
-    total = 0
     for n, idx, d in _sweep_instances(args):
-        total += 1
         try:
             chi = exact_chromatic_index(d).chi
         except BudgetExceededError:
             chi = None
-            timeouts += 1
         try:
             certified = _certify(d, "given", args.budget) or _certify(
                 d, "search", args.budget
             )
         except BudgetExceededError:
-            certified = None
-            arith = "unknown"
-            unknown += 1
+            certified, arith = None, "unknown"
         else:
             arith = "no" if certified is None else "yes"
-        theorem_colors = None if certified is None else certified[0].colors_used
-        if chi is not None and chi > d.n:
-            violated += 1
-        if arith == "yes":
-            arithmetic += 1
         rows.append(
             {
                 "n": n,
@@ -433,18 +402,37 @@ def _cmd_sweep(args):
                 "elements": len(d.elements),
                 "chi": chi,
                 "arithmetic": arith,
-                "certificate_colors": theorem_colors,
+                "certificate_colors": (
+                    None if certified is None else certified[0].colors_used
+                ),
             }
         )
-        tc = "-" if theorem_colors is None else str(theorem_colors)
-        chi_text = "timeout" if chi is None else str(chi)
+    total = len(rows)
+    timeouts = sum(row["chi"] is None for row in rows)
+    violated = sum(row["chi"] is not None and row["chi"] > row["n"] for row in rows)
+    overall = _arithmetic_counts(rows)
+    per_n = [
+        {"n": n, **_arithmetic_counts(list(group))}
+        for n, group in groupby(rows, key=itemgetter("n"))
+    ]
+    lines = [f"sweep mode {args.mode} n-max {args.n_max}"]
+    for row in rows:
+        chi, colors = row["chi"], row["certificate_colors"]
         lines.append(
-            f"instance n={n} idx={idx} elements={len(d.elements)}"
-            f" chi={chi_text} arithmetic={arith} certificate-colors={tc}"
+            f"instance n={row['n']} idx={row['index']} elements={row['elements']}"
+            f" chi={'timeout' if chi is None else chi} arithmetic={row['arithmetic']}"
+            f" certificate-colors={'-' if colors is None else colors}"
         )
+    for counts in per_n:
+        yes, decided = counts["arithmetic_fraction"]
+        lines.append(
+            f"n {counts['n']} instances {counts['instances']}"
+            f" arithmetic {yes}/{decided} unknown {counts['unknown']}"
+        )
+    yes, decided = overall["arithmetic_fraction"]
     lines.append(
         f"summary instances {total} chi-le-n {total - violated - timeouts}/{total}"
-        f" arithmetic {arithmetic}/{total} timeouts {timeouts} unknown {unknown}"
+        f" arithmetic {yes}/{decided} timeouts {timeouts} unknown {overall['unknown']}"
     )
     report = {
         "command": "sweep",
@@ -453,10 +441,22 @@ def _cmd_sweep(args):
         "instances": rows,
         "bound_holds": violated == 0,
         "timeouts": timeouts,
-        "arithmetic_fraction": [arithmetic, total],
-        "unknown": unknown,
+        "arithmetic_fraction": overall["arithmetic_fraction"],
+        "unknown": overall["unknown"],
+        "per_n": per_n,
     }
     return report, lines, 0 if violated == 0 else 1
+
+
+def _arithmetic_counts(rows) -> dict:
+    """How many of the sweep rows are arithmetic, out of those decided: the
+    rows whose labeling search ran out of budget count only as unknown."""
+    verdicts = Counter(row["arithmetic"] for row in rows)
+    return {
+        "instances": len(rows),
+        "arithmetic_fraction": [verdicts["yes"], verdicts["yes"] + verdicts["no"]],
+        "unknown": verdicts["unknown"],
+    }
 
 
 def _cmd_generate(args):

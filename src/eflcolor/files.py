@@ -174,10 +174,11 @@ def serialize_coloring(
     return "\n".join(lines) + "\n"
 
 
-def parse_hypergraph(text: str) -> tuple[tuple[str, ...], Quasicluster]:
-    """Parse a hypergraph file; returns edge names and the validated quasicluster."""
+def parse_hypergraph(text: str) -> Quasicluster:
+    """Parse a hypergraph file into a validated quasicluster; edge names
+    must be distinct but are not kept."""
     declared: int | None = None
-    names: dict[str, None] = {}  # edge names in file order
+    names: set[str] = set()
     edges: list[tuple[str, ...]] = []
     repeated_at: tuple[int, int] | None = None  # first repeated edge name
     for lineno, line, raw in _content_lines(text):
@@ -196,7 +197,7 @@ def parse_hypergraph(text: str) -> tuple[tuple[str, ...], Quasicluster]:
                 )
             if tokens[1] in names and repeated_at is None:
                 repeated_at = (lineno, _token_column(raw, 1))
-            names[tokens[1]] = None
+            names.add(tokens[1])
             edges.append(tuple(tokens[3:]))
         else:
             raise ParseError(lineno, 1, f"unknown directive {tokens[0]!r}")
@@ -208,22 +209,14 @@ def parse_hypergraph(text: str) -> tuple[tuple[str, ...], Quasicluster]:
         )
     if repeated_at is not None:
         raise ParseError(*repeated_at, "duplicate edge names")
-    return tuple(names), validate_quasicluster(edges)
+    return validate_quasicluster(edges)
 
 
-def serialize_hypergraph(
-    h: Quasicluster,
-    names: tuple[str, ...] | None = None,
-    comments: tuple[str, ...] = (),
-) -> str:
-    if names is None:
-        names = tuple(f"E{i}" for i in range(h.n))
-    if len(names) != h.n:
-        raise ValueError(f"{len(names)} names for {h.n} edges")
+def serialize_hypergraph(h: Quasicluster, comments: tuple[str, ...] = ()) -> str:
+    """Write ``h`` with its edges named E0, E1, ... in stored order."""
     lines = [f"# {c}" for c in comments]
     lines.append(f"edges {h.n}")
     lines.extend(
-        f"edge {name} : " + " ".join(str(v) for v in edge)
-        for name, edge in zip(names, h.edges)
+        f"edge E{i} : " + " ".join(map(str, edge)) for i, edge in enumerate(h.edges)
     )
     return "\n".join(lines) + "\n"

@@ -47,15 +47,6 @@ STS9_TRIPLES = (
     (2, 4, 6),
 )
 
-FIXTURE_NAMES = (
-    "paper_k9",
-    "trivial_edges",
-    "near_pencil",
-    "fano_k7",
-    "sts9_k9",
-    "random",
-)
-
 
 def complete_with_pairs(
     n: int, elements: tuple[tuple[int, ...], ...]
@@ -114,7 +105,9 @@ def random_decomposition(n: int, seed: int) -> CliqueDecomposition:
 def fixture(
     name: str, n: int | None = None, seed: int | None = None
 ) -> CliqueDecomposition:
-    """Build a named instance; see FIXTURE_NAMES."""
+    """Build a named instance: ``paper_k9``, ``fano_k7``, ``sts9_k9``,
+    ``trivial_edges`` and ``near_pencil`` (these two need ``n``), or
+    ``random`` (needs ``n`` and ``seed``)."""
     if name == "paper_k9":
         return validate_decomposition(9, complete_with_pairs(9, K9_TRIANGLES))
     if name == "trivial_edges":

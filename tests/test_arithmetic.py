@@ -35,6 +35,7 @@ from eflcolor import (
     validate_decomposition,
 )
 from eflcolor import arithmetic
+from eflcolor.fixtures import complete_with_pairs
 from eflcolor.oracle import exhaustive_labeling_oracle
 
 
@@ -279,13 +280,17 @@ class TestFindCertificate:
         assert chosen[1] == 5
 
     def test_clashing_centrals_is_none(self):
-        # two odd elements that each admit only the same central would be a
-        # conflict; {1,4,7} forced at 4 happens only if the wrap options are
-        # excluded, so build a conflict via two 5-cycles sharing all options
-        d = validate_decomposition(
-            5, [(0, 1, 2, 3, 4)]
-        )  # single element, no clash possible
-        assert find_certificate(d) is not None
+        # in Z_10, (0,1,2) is a progression only as 0,1,2 and (1,3,9) only
+        # as 9,1,3; both are centered at 1
+        triangles = ((0, 1, 2), (1, 3, 9))
+        for t in triangles:
+            assert [o.central for o in element_options(t, 10)] == [1]
+        d = validate_decomposition(10, complete_with_pairs(10, triangles))
+        assert find_certificate(d) is None
+        # either triangle alone has a certificate
+        for t in triangles:
+            alone = validate_decomposition(10, complete_with_pairs(10, (t,)))
+            assert find_certificate(alone) is not None
 
 
 class TestCheckCertificate:

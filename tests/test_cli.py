@@ -174,6 +174,15 @@ class TestColor:
         proc = run_cli("color", str(inst), "--labeling", "search")
         assert "# labeling" in proc.stdout
 
+    @pytest.mark.parametrize("labeling", ["given", "search"])
+    def test_json_explain_has_one_derivation_per_entry(self, labeling, k9, capsys):
+        args = ["color", str(k9), "--labeling", labeling, "--explain", "--json"]
+        assert cli.main(args) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["explain"]) == len(report["certificate"]) == 22
+        for i, line in enumerate(report["explain"]):
+            assert line.startswith(f"element {i} ")
+
     def test_json_report(self, k9):
         proc = run_cli("color", str(k9), "--json")
         report = json.loads(proc.stdout)
@@ -473,6 +482,34 @@ class TestSweep:
         assert report["unknown"] == len(rows) == 4
         summary = run_cli(*args).stdout.splitlines()[-1]
         assert summary.endswith(" timeouts 0 unknown 4")
+
+    def test_fractions_leave_out_unknowns(self, capsys):
+        args = ["sweep", "--n-max", "6", "--mode", "random", "--count", "5", "--budget", "0"]
+        assert cli.main([*args, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        rows = report["instances"]
+
+        def fraction(rows):
+            yes = sum(row["arithmetic"] == "yes" for row in rows)
+            return [yes, yes + sum(row["arithmetic"] == "no" for row in rows)]
+
+        assert report["arithmetic_fraction"] == fraction(rows) == [21, 21]
+        assert report["per_n"] == [
+            {
+                "n": n,
+                "instances": 5,
+                "arithmetic_fraction": fraction([r for r in rows if r["n"] == n]),
+                "unknown": sum(r["n"] == n and r["arithmetic"] == "unknown" for r in rows),
+            }
+            for n in range(2, 7)
+        ]
+        assert cli.main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-3:] == [
+            "n 5 instances 5 arithmetic 4/4 unknown 1",
+            "n 6 instances 5 arithmetic 2/2 unknown 3",
+            "summary instances 25 chi-le-n 25/25 arithmetic 21/21 timeouts 0 unknown 4",
+        ]
 
     def test_random_deterministic(self):
         args = ("sweep", "--n-max", "5", "--mode", "random", "--count", "4", "--seed", "9")
