@@ -1,7 +1,9 @@
 """Searching for arithmetic labelings of abstract decompositions.
 
 The backtracking search pins one vertex to 0 (translations preserve all the
-structure) and prunes on elements that lose every ordering option. The
+structure) and checks each element from its first label on: a branch dies
+once an element can no longer be completed to a label set with an ordering
+option, or the odd elements can no longer get distinct centrals. The
 7-point projective-plane triangles turn out to admit no arithmetic labeling
 at all; the full 7! sweep agrees.
 """

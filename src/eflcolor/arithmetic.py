@@ -17,6 +17,8 @@ ordering and fail for another.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 from math import gcd
 from typing import Hashable, Iterable, Iterator, Sequence
 
@@ -285,6 +287,103 @@ def element_options(vertices: Iterable[int], n: int) -> tuple[ElementCertificate
     return tuple(_iter_options(vertices, n))
 
 
+@lru_cache(maxsize=256)
+def _option_table(
+    size: int, n: int
+) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The option sets of ``size`` labels of Z_n that hold label 0, as bits.
+
+    An option set is a label set with ``element_options``: one
+    k-progression or, for an even size, two disjoint k-progressions of
+    size / 2, for a step k in 1..n // 2. A k-progression is a window of
+    consecutive terms of one cycle of x -> x + k, so the sets are read off
+    windows: the ones through 0 in the cycle of 0, and for a split a second
+    window of the same step that neither meets nor touches the first (a
+    touching pair is one window, already listed). Set i is bit i. Returns
+    ``(every, contains, lacks, centrals)``: ``every`` has a bit per set,
+    ``contains[y]`` the sets holding label y and ``lacks[y]`` the others,
+    and for an odd size ``centrals[c]`` the sets with a single progression
+    centred on c (empty for an even size). The sets holding label x are
+    these shifted by x, so ``contains[y - x]`` and ``centrals[c - x]``
+    answer for them.
+    """
+    found: dict[int, list[int]] = {}  # set -> its centrals
+    half = 0 if size % 2 else size // 2
+    full = (1 << n) - 1
+    bit = [1 << x for x in range(n)]
+    cycles = set()  # the lengths of the cycles of 0 whose windows are listed
+    for step in range(1, n // 2 + 1):
+        cycle = n // gcd(step, n)
+        # A window of all the cycle, or all but one term p, is the same set
+        # for every step of this cycle, with the same centrals: every term,
+        # or p + n / 2 (an odd window of cycle - 1 terms starts at p + step;
+        # step = gcd * u with u odd, so (cycle / 2) * step = n / 2 mod n).
+        singles = size <= cycle and not (size >= cycle - 1 and cycle in cycles)
+        # A split's halves neither meet nor touch: apart in the cycle of 0,
+        # which needs size + 2 terms, or in two cycles.
+        splits = 0 < half <= cycle and (cycle >= size + 2 or cycle < n)
+        if not (singles or splits):
+            continue
+        terms = [bit[i * step % n] for i in range(cycle)]  # the cycle of 0
+        if singles:  # the window with 0 as its term j, slid back
+            cycles.add(cycle)
+            mask = sum(terms[:size])
+            for j in range(size):
+                if j:
+                    mask = mask ^ terms[size - j] | terms[-j]
+                centrals = found.setdefault(mask, [])
+                if not half:
+                    centrals.append((size // 2 - j) * step % n)
+        if not splits:
+            continue
+        prefix = list(accumulate(terms, initial=0))
+
+        def window(t: int) -> int:  # terms t .. t + half - 1 of the cycle of 0
+            if t + half <= cycle:
+                return prefix[t + half] - prefix[t]
+            return prefix[cycle] - prefix[t] + prefix[t + half - cycle]
+
+        for j in range(half):
+            t = -j % cycle
+            first = window(t)
+            for u in range(t + half + 1, t + cycle - half):
+                found.setdefault(first | window(u % cycle), [])
+            for shift in range(1, n // cycle):  # the cycle of shift
+                for u in range(cycle):
+                    w = window(u)
+                    found.setdefault(first | (w << shift | w >> n - shift) & full, [])
+    rows = [format(mask, f"0{n}b") for mask in found]  # label n - 1 first
+    contains = tuple(int("".join(reversed(col)), 2) for col in zip(*rows))[::-1]
+    every = (1 << len(rows)) - 1
+    centrals = [0] * n if not half else []
+    for i, cs in enumerate(found.values()):
+        for c in cs:
+            centrals[c] |= 1 << i
+    return every, contains, tuple(every ^ c for c in contains), tuple(centrals)
+
+
+class _LiveCentrals:
+    """``_augment``'s lists in the labeling search: each matched odd
+    element's candidate centrals, read off the options it has left. The
+    centrals of a set of options, relative to the anchor, are kept per
+    table, since the search meets the same sets again and again."""
+
+    def __init__(self, n: int, anchor: list[int], centrals: list, alive_at: list):
+        self.n, self.anchor, self.centrals, self.alive_at = n, anchor, centrals, alive_at
+        tables: dict[int, dict] = {}  # the elements of one size share a table
+        self.memo = [tables.setdefault(id(c), {}) for c in centrals]
+
+    def __getitem__(self, s: int) -> list[int]:
+        alive, memo = self.alive_at[-1][s], self.memo[s]
+        relative = memo.get(alive)
+        if relative is None:
+            relative = memo[alive] = [
+                c for c, sets in enumerate(self.centrals[s]) if alive & sets
+            ]
+        x, n = self.anchor[s], self.n
+        return [(c + x) % n for c in relative]
+
+
 def _augment(
     i: int, candidates, holder: dict[int, int], held: dict[int, int]
 ) -> bool:
@@ -470,10 +569,11 @@ def search_labeling(
 ) -> tuple[Labeling, CliqueDecomposition, ArithmeticCertificate] | None:
     """Find a bijection onto Z_n making the decomposition arithmetic.
 
-    Backtracks over partial vertex assignments. A branch dies as soon as a
-    fully-labeled element has no options, or the fully-labeled odd elements
-    cannot receive pairwise distinct centrals. Exhaustive up to two
-    symmetries, so None means no labeling exists:
+    Backtracks over partial vertex assignments. A branch dies as soon as an
+    element can no longer be completed to a set with options, or the odd
+    elements holding a label can no longer receive pairwise distinct
+    centrals. Exhaustive up to two symmetries, so None means no labeling
+    exists:
 
     - Translation: the first vertex of the largest element is pinned to 0.
       Adding t to every label keeps every progression a progression and
@@ -488,20 +588,30 @@ def search_labeling(
       first solution in plain order lies below a divisor: the labelings
       returned are exactly those of the plain search, in no more nodes.
 
-    One search asks for the same few hundred label sets tens of thousands of
-    times, so it keeps an index from a label set's bitmask (bit x set for
-    label x, the OR of the ``1 << label`` kept per vertex) to what the
-    search needs of its options: whether there are any, and for an odd set
-    its candidate centrals in canonical order without repeats. An entry is
-    built the first time its set completes, an odd set's from
-    ``element_options`` and an even set's from its first option alone, and
-    lives as long as the call. A 2-element set always has an option, so it
-    is never looked up. The certificate itself is built once, by
-    ``find_certificate``, for the labeling found. The centrals test keeps
-    one matching of the completed odd elements to distinct centrals for the
-    whole search: an odd element that completes is added to it by one
-    augmenting step, and taken out, freeing its central, when its label is
-    undone. An even element adds no central and cannot change the answer.
+    Forward checking: every element of three or more vertices that holds a
+    label keeps the options it can still take, the option sets O (see
+    ``_option_table``) that contain its placed labels P and no other used
+    label. Placing label x at vertex v keeps, for the elements through v,
+    the options that contain x, and drops them for the other elements that
+    hold a label and are not yet complete. An element left with no option
+    cuts the branch. A complete element is the case O = P, so a complete set
+    without options is cut as soon as it completes. Each element's options
+    are a bitmask over the sets of its size that hold the label placed
+    first on it (its anchor), built when that label is placed; the groups
+    narrowed at each depth are fixed by the variable order.
+
+    The centrals test keeps one matching of the odd elements that hold a
+    label to distinct centrals, each element's candidates being the
+    centrals of its options left (a necessary condition, the cheapest form
+    of all-different filtering). An element joins by one augmenting step
+    when it gets its first label and is taken out, freeing its central,
+    when that label is undone. An element whose held central leaves its
+    candidates is augmented again; if that fails the branch is cut and the
+    element gets its old central back. Options only come back on undo, so
+    every held central stays a candidate. Only branches without a solution
+    are cut, so the first labeling in plain order is still the one found.
+    The certificate itself is built once, by ``find_certificate``, for the
+    labeling found.
 
     A found labeling comes back as ``(labeling, relabeled, certificate)``:
     the bijection, the decomposition relabeled through it (as
@@ -526,81 +636,105 @@ def search_labeling(
     )
     position = {v: i for i, v in enumerate(var_order)}
 
-    # For pruning: elements become checkable once their last vertex (in the
-    # variable order) is assigned.
-    completed_at: list[list[int]] = [[] for _ in range(n)]
-    for ei, elem in enumerate(indexed):
-        if len(elem) > 2:
-            completed_at[max(position[v] for v in elem)].append(ei)
+    # The checked elements, numbered by slot, and what each depth does to
+    # them: joins (first label placed), narrow by the label placed (through
+    # the vertex: keep the options with it; elsewhere, still open: drop them).
+    joins: list[list[int]] = [[] for _ in range(n)]
+    narrow: list[list[tuple]] = [[] for _ in range(n)]
+    tables, centrals_of = [], []
+    for elem in indexed:
+        if len(elem) < 3:
+            continue
+        s = len(tables)
+        every, contains, lacks, centrals = _option_table(len(elem), n)
+        tables.append((every, lacks))
+        centrals_of.append(centrals)
+        depths = sorted(position[v] for v in elem)
+        joins[depths[0]].append(s)
+        for k in range(depths[0] + 1, depths[-1] + 1):
+            narrow[k].append((s, contains if k in depths else lacks, centrals))
 
-    bit = [0] * n  # 1 << label of each assigned vertex
+    labels: list[int] = []  # the label placed at each depth so far
+    label_of = [0] * n
     used_labels = [False] * n
-    depth = 0  # vertices assigned, in variable order
-    # label-set bitmask -> candidate centrals of an odd set, () for an even
-    # set, None when the set has no options
-    index: dict[int, tuple[int, ...] | None] = {}
-    centrals_of: list[tuple[int, ...]] = [()] * m  # of each completed odd element
+    anchor = [0] * len(tables)  # each element's first label
+    alive_at = [[0] * len(tables)]  # its options left, one list per depth
+    live = _LiveCentrals(n, anchor, centrals_of, alive_at)
     holder: dict[int, int] = {}  # central -> the odd element matched to it
     held: dict[int, int] = {}  # matched odd element -> its central
 
-    def entry(mask: int, size: int) -> tuple[int, ...] | None:
-        labels = [x for x in range(n) if mask >> x & 1]
-        if size % 2 == 1:
-            centrals = tuple(dict.fromkeys(o.central for o in element_options(labels, n)))
-            return centrals or None
-        return None if next(_iter_options(labels, n), None) is None else ()
-
-    def release(level: int) -> None:
-        # an odd element is matched only at the level where it completes
-        for ei in completed_at[level]:
-            if ei in held:
-                del holder[held.pop(ei)]
+    def undo(level: int) -> None:
+        # the options narrowed at this level come back, and the odd elements
+        # first labeled here leave the matching
+        alive_at.pop()
+        for s in joins[level]:
+            if s in held:
+                del holder[held.pop(s)]
 
     divisors = [x for x in range(1, n) if n % x == 0]
 
     def moves() -> list[int]:
+        depth = len(labels)
         if depth == 0:
             return [0]
         if depth == 1:
             return divisors
         return [x for x in range(n) if not used_labels[x]]
 
+    def consistent(lab: int, depth: int, alive: list[int]) -> bool:
+        # narrow the options for label lab at depth, in place, and rematch;
+        # False when an element has no option or the centrals do not match
+        moved = []  # odd elements to (re)match
+        for s, sets, centrals in narrow[depth]:
+            left = alive[s] & sets[lab - anchor[s]]
+            if not left:
+                return False
+            alive[s] = left
+            if centrals and not left & centrals[held[s] - anchor[s]]:
+                moved.append(s)
+        for s in joins[depth]:
+            every, lacks = tables[s]
+            for y in labels:
+                every &= lacks[y - lab]
+            if not every:
+                return False
+            anchor[s] = lab
+            alive[s] = every
+            if centrals_of[s]:
+                moved.append(s)
+        for s in moved:
+            old = held.pop(s, None)
+            if old is not None:
+                del holder[old]
+            free = next((c for c in live[s] if c not in holder), None)
+            if free is not None:  # the shortest augmenting path
+                holder[free], held[s] = s, free
+            elif not _augment(s, live, holder, held):
+                if old is not None:
+                    holder[old], held[s] = s, old
+                return False
+        return True
+
     def place(lab: int) -> bool:
-        nonlocal depth
-        v = var_order[depth]
-        bit[v] = 1 << lab
-        for ei in completed_at[depth]:
-            elem = indexed[ei]
-            mask = 0
-            for u in elem:
-                mask |= bit[u]
-            if mask in index:
-                centrals = index[mask]
-            else:
-                centrals = index[mask] = entry(mask, len(elem))
-            if centrals is None:
-                break
-            if centrals:
-                centrals_of[ei] = centrals
-                if not _augment(ei, centrals_of, holder, held):
-                    break
-        else:
-            used_labels[lab] = True
-            depth += 1
-            return True
-        release(depth)
-        return False
+        depth = len(labels)
+        alive_at.append(alive_at[-1][:])
+        if not consistent(lab, depth, alive_at[-1]):
+            undo(depth)
+            return False
+        labels.append(lab)
+        label_of[var_order[depth]] = lab
+        used_labels[lab] = True
+        return True
 
     def unplace(lab: int) -> None:
-        nonlocal depth
-        depth -= 1
-        release(depth)
+        labels.pop()
+        undo(len(labels))
         used_labels[lab] = False
 
     found, _ = _backtrack(moves, place, unplace, n, budget)
     if not found:
         return None
-    labeling = Labeling(tuple((order[v], bit[v].bit_length() - 1) for v in range(n)))
+    labeling = Labeling(tuple((order[v], label_of[v]) for v in range(n)))
     relabeled = apply_labeling(n, elements, labeling)
     cert = find_certificate(relabeled)
     if cert is None:

@@ -141,8 +141,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="bound check over many instances")
     p.add_argument("--n-max", type=_order, required=True)
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
-    p.add_argument("--count", type=_count, default=20, help="instances per n in random mode")
-    p.add_argument("--seed", type=int, default=0)
+    # None: not given, which random mode reads as 20 and 0
+    p.add_argument("--count", type=_count, help="instances per n in random mode (default 20)")
+    p.add_argument("--seed", type=int, help="first generator seed in random mode (default 0)")
     p.add_argument("--budget", type=_count, default=200_000, help="labeling-search node budget")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_sweep)
@@ -369,15 +370,19 @@ def _cmd_convert(args):
 
 def _sweep_instances(args):
     if args.mode == "exhaustive":
+        if args.count is not None or args.seed is not None:
+            raise UsageError("--count and --seed apply only to --mode random")
         if args.n_max > SWEEP_EXHAUSTIVE_LIMIT:
             raise UsageError(f"exhaustive sweeps stop at n={SWEEP_EXHAUSTIVE_LIMIT}")
         for n in range(2, args.n_max + 1):
             for idx, d in enumerate(enumerate_decompositions(n)):
                 yield n, idx, d
     else:
+        count = 20 if args.count is None else args.count
+        seed = 0 if args.seed is None else args.seed
         for n in range(2, args.n_max + 1):
-            for idx in range(args.count):
-                yield n, idx, random_decomposition(n, args.seed + idx)
+            for idx in range(count):
+                yield n, idx, random_decomposition(n, seed + idx)
 
 
 def _cmd_sweep(args):

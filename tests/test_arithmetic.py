@@ -404,13 +404,13 @@ PINNED_SEARCHES = {
         [3, 5, 1, 4, 8, 6, 0, 2, 7],
         "sp1:0,3 si1:4 si1:0 si4:3 si2:1 si1:3 sp1:3,6 sp1:3,8 sp1:1,7 sp1:1,4"
         " sp1:1,6 sp1:1,8 sp1:2,4 sp1:2,5 sp1:2,6 sp1:2,8",
-        3477,
+        63,
     ),
     (10, 2): (
         [3, 7, 5, 8, 6, 4, 9, 1, 0, 2],
         "si1:0 sp1:0,2 si1:3 si1:1 sp1:1,4 sp1:1,5 sp1:1,6 sp1:1,7 sp1:1,8"
         " sp1:1,9 sp1:2,4 sp1:2,5 sp1:2,6 sp1:2,7 sp1:2,8 sp1:2,9",
-        2381,
+        16,
     ),
     (11, 0): (
         [10, 2, 6, 5, 8, 0, 3, 4, 9, 1, 7],
@@ -422,7 +422,7 @@ PINNED_SEARCHES = {
 }
 
 
-DIGITS = "0123456789a"
+DIGITS = "0123456789abc"
 
 # What the plain backtracking search (no unit-orbit pruning) returned on
 # permuted_random(n, seed): the labels of v0, v1, ... as digits, and the
@@ -534,6 +534,30 @@ RECORDED_SEARCHES = {
     (11, 12): ('890a7534216', 'daf97dcf0001'),
     (11, 13): None,
     (11, 14): ('107a9463852', '52227ef7a867'),
+    (12, 0): ('b97a03246185', '6607cd789851'),
+    (12, 1): None,
+    (12, 2): ('3628b7105a94', '80a77a829d12'),
+    (12, 3): ('418a273b9560', '5310a51cfac8'),
+    (12, 4): ('03a84b962175', '6fa399786619'),
+    (12, 5): ('b891243705a6', '6d5adcf893b5'),
+    (12, 6): ('4a80369215b7', '6d5adcf893b5'),
+    (12, 7): ('81635b0a9427', '46af39c02f67'),
+    (12, 8): ('8b56329a7014', 'ecbb3eab01a0'),
+    (12, 9): ('4b810365a927', '494444a3e69d'),
+    (12, 10): ('0857ab649312', '6d5adcf893b5'),
+    (12, 11): ('4b5239a78061', 'a32bc229778a'),
+    (13, 0): ('0c265a798143b', '901cc9540b6d'),
+    (13, 1): ('b7832a59c6410', '13d412249be3'),
+    (13, 2): ('0924358c1b76a', '31357f1ac2f1'),
+    (13, 3): ('2ab3498657c10', 'd806f2522105'),
+    (13, 4): ('40671a2b38c59', '87aa22d9aa07'),
+    (13, 5): ('27ab6094315c8', 'f9ff1793ad1d'),
+    (13, 6): ('83641c957ba02', 'c1b0f8409979'),
+    (13, 7): ('c1762458b09a3', 'cf57b3516833'),
+    (13, 8): ('c7901b8a25643', '45715cf0dba3'),
+    (13, 9): ('297cb35a68041', 'f655660aec3b'),
+    (13, 10): ('5ab26740c3189', '788abd8eda65'),
+    (13, 11): ('24035a86b179c', 'f4fe10ed885a'),
 }
 
 
@@ -557,12 +581,17 @@ class TestSearchParity:
 
     def test_no_labeling_proof_and_budget_out(self):
         abstract = permuted_random(10, 1)
-        with pytest.raises(BudgetExceededError):
-            search_labeling(10, abstract, budget=10_000)
         assert search_labeling(10, abstract, budget=200_000) is None
-        assert search_labeling(10, abstract, budget=16_144) is None
+        assert search_labeling(10, abstract, budget=1_036) is None
         with pytest.raises(BudgetExceededError):
-            search_labeling(10, abstract, budget=16_143)
+            search_labeling(10, abstract, budget=1_035)
+
+    def test_late_triple_found_within_bench_budget(self):
+        # The one triple of permuted (13, 2) has its vertices at depths 1, 2
+        # and 12 of the variable order; checked only once complete, it cost
+        # the search 1,112,095 nodes.
+        abstract = permuted_random(13, 2)
+        assert search_labeling(13, abstract, budget=10_000) is not None
 
     @pytest.mark.parametrize("case", sorted(RECORDED_SEARCHES))
     def test_recorded_labeling(self, case):
@@ -810,6 +839,70 @@ class TestOptionGenerator:
         d = trivial_edges(60)
         assert find_certificate(d) is not None
         assert len(built) == len(d.elements)
+
+
+def options_left(n, size, placed, used, anchor):
+    """What the search's forward check keeps of an element of ``size``
+    vertices whose labels are ``placed`` (``anchor`` among them) when the
+    labels ``used`` are taken: the option sets left, as bits of
+    ``_option_table``, and their centrals."""
+    every, contains, lacks, centrals = arithmetic._option_table(size, n)
+    alive = every
+    for y in used:
+        alive &= (contains if y in placed else lacks)[y - anchor]
+    return alive, {(c + anchor) % n for c, sets in enumerate(centrals) if alive & sets}
+
+
+def option_centrals(vertices, n):
+    return {o.central for o in element_options(vertices, n) if o.central is not None}
+
+
+class TestForwardCheck:
+    """The search's check keeps an element alive exactly when it can still be
+    completed to a set with ``element_options``, with those sets' centrals."""
+
+    def test_complete_sets_match_element_options(self):
+        checked = 0
+        for n in range(3, 12):
+            for size in range(3, min(n, 6) + 1):
+                for vs in combinations(range(n), size):
+                    for anchor in (vs[0], vs[-1]):
+                        alive, centrals = options_left(n, size, vs, vs, anchor)
+                        assert bool(alive) == bool(element_options(vs, n)), (n, vs)
+                        assert centrals == option_centrals(vs, n), (n, vs)
+                    checked += 1
+        assert checked > 3000
+
+    def test_complete_structured_sets_match_element_options(self):
+        rng = random.Random(14)
+        for n in range(12, 41):
+            # and near_pencil's large element: all of Z_n but one label
+            for vs in [*structured_sets(n, rng), set(range(n)) - {rng.randrange(n)}]:
+                if len(vs) < 3:
+                    continue
+                vs = sorted(vs)
+                alive, centrals = options_left(n, len(vs), vs, vs, rng.choice(vs))
+                assert bool(alive) == bool(element_options(vs, n)), (n, vs)
+                assert centrals == option_centrals(vs, n), (n, vs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_partial_sets_match_brute_force(self, data):
+        n = data.draw(st.integers(3, 11), label="n")
+        size = data.draw(st.integers(3, min(n, 6)), label="size")
+        labels = data.draw(st.permutations(range(n)), label="labels")
+        placed = labels[: data.draw(st.integers(1, size), label="placed")]
+        used = labels[: data.draw(st.integers(len(placed), n), label="used")]
+        anchor = data.draw(st.sampled_from(placed), label="anchor")
+        free = sorted(set(range(n)) - set(used))
+        completions = [
+            sorted(placed + list(rest))
+            for rest in combinations(free, size - len(placed))
+            if element_options(placed + list(rest), n)
+        ]
+        alive, centrals = options_left(n, size, set(placed), used, anchor)
+        assert bool(alive) == bool(completions)
+        assert centrals == set().union(*(option_centrals(o, n) for o in completions))
 
 
 class TestFindCertificateFamilies:

@@ -475,6 +475,18 @@ class TestSweep:
         assert captured.err == "error: exhaustive sweeps stop at n=5\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag", [("--count", "99"), ("--seed", "7"), ("--count", "20")])
+    def test_random_mode_flags_are_a_usage_error_when_exhaustive(self, flag, capsys):
+        assert cli.main(["sweep", "--n-max", "4", *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --count and --seed apply only to --mode random\n"
+        assert captured.out == ""
+
+    def test_random_mode_defaults(self):
+        args = ("sweep", "--n-max", "5", "--mode", "random", "--json")
+        given = ("--count", "20", "--seed", "0")
+        assert run_cli(*args).stdout == run_cli(*args, *given).stdout
+
     def test_unknown_counts_budget_outs(self):
         args = ("sweep", "--n-max", "6", "--mode", "random", "--count", "5", "--budget", "0")
         report = json.loads(run_cli(*args, "--json").stdout)
