@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .arithmetic import (
     ArithmeticCertificate,
     ElementCertificate,
+    Progression,
     SingleCertificate,
     SplitCertificate,
 )
@@ -37,23 +38,30 @@ class ColoredDecomposition:
     colors_used: int
 
 
+def _first_last(p: Progression) -> tuple[int, int]:
+    """The first and last terms of ``p``, without building ``terms``."""
+    return p.start % p.modulus, (p.start + (p.length - 1) * p.step) % p.modulus
+
+
 def element_color(cert: ElementCertificate) -> int:
     """The color index forced by one certificate entry."""
     if isinstance(cert, SingleCertificate):
         p = cert.progression
         n = p.modulus
-        terms = p.terms
-        j = (terms[0] + terms[-1]) % n
+        first, last = _first_last(p)
+        j = (first + last) % n
         if p.length % 2 == 1:
-            if (2 * p.central) % n != j:
+            central = (p.start + (p.length - 1) // 2 * p.step) % n
+            if (2 * central) % n != j:
                 raise TheoremViolationError(
                     (), "central identity 2c = first + last failed"
                 )
         return j
-    first, second = cert.first, cert.second
-    n = first.modulus
-    j = (first.terms[0] + second.terms[-1]) % n
-    if j != (second.terms[0] + first.terms[-1]) % n:
+    v_first, v_last = _first_last(cert.first)
+    u_first, u_last = _first_last(cert.second)
+    n = cert.first.modulus
+    j = (v_first + u_last) % n
+    if j != (u_first + v_last) % n:
         raise TheoremViolationError(
             (), "split pair sums v_1 + u_l and u_1 + v_l differ"
         )

@@ -32,9 +32,9 @@ from .hypergraph import Quasicluster, validate_quasicluster
 from .model import CliqueDecomposition, validate_decomposition
 
 # Largest order n (for hypergraphs: edge count) read from a file or the
-# command line. Validation looks at all n(n-1)/2 pairs of K_n, so cost grows
-# as n^2: rejecting a one-element instance took 0.5 s and 51 MB at n = 500
-# and 2.8 s and 157 MB at n = 1000 (2-core Xeon VM).
+# command line. Validation lists every uncovered pair of K_n, so cost grows
+# as n^2: rejecting a one-element instance took 0.3 s and 49 MB at n = 500
+# and 1.6 s and 152 MB at n = 1000 (2-core Xeon VM).
 MAX_ORDER = 500
 
 

@@ -10,7 +10,6 @@ vertex; vertex colorings on one side are element colorings on the other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .arithmetic import (
@@ -23,7 +22,14 @@ from .errors import (
     VertexInOneElementError,
     Violation,
 )
-from .model import CliqueDecomposition, Verdict, check_proper, validate_decomposition
+from .model import (
+    CliqueDecomposition,
+    Verdict,
+    _meetings,
+    _pair_faults,
+    check_proper,
+    validate_decomposition,
+)
 
 HVertex = Hashable
 
@@ -90,7 +96,8 @@ def validate_quasicluster(raw_edges: Iterable[Iterable[HVertex]]) -> Quasicluste
 
     Edges must pairwise meet in exactly one vertex (one shared vertex is
     linearity, at least one is the intersecting property), have between 2
-    and n vertices, and leave no vertex of degree one.
+    and n vertices, and leave no vertex of degree one. Pairs of edges are
+    checked through bitmasks filled from each vertex's edge list.
     """
     edges: list[tuple[HVertex, ...]] = []
     violations: list[Violation] = []
@@ -112,15 +119,12 @@ def validate_quasicluster(raw_edges: Iterable[Iterable[HVertex]]) -> Quasicluste
             violations.append(Violation("EdgeTooLarge", (idx,)))
         if len(edge) < 2:
             violations.append(Violation("EdgeTooSmall", (idx,)))
-    for i, j in combinations(range(n), 2):
-        common = set(edges[i]) & set(edges[j])
-        if len(common) == 0:
-            violations.append(Violation("NotIntersecting", (i, j)))
-        elif len(common) > 1:
-            violations.append(Violation("NotLinear", (i, j)))
     h = Hypergraph(tuple(edges))
-    for v, deg in h.degrees().items():
-        if deg < 2:
+    containing = h.vertex_edges()
+    met, twice = _meetings(containing.values(), n)
+    violations.extend(_pair_faults(met, twice, "NotIntersecting", "NotLinear"))
+    for v, idxs in containing.items():
+        if len(idxs) < 2:
             violations.append(Violation("DegreeOneVertex", (v,)))
 
     if violations:

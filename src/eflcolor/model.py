@@ -34,10 +34,6 @@ class Element:
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.vertices)
 
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        """The K_n edges covered by this element."""
-        return combinations(self.vertices, 2)
-
 
 @dataclass(frozen=True)
 class CliqueDecomposition:
@@ -105,7 +101,9 @@ def validate_decomposition(
 
     Every violation is collected before raising: out-of-range or duplicated
     labels, elements with fewer than two vertices, and each edge of K_n that
-    is uncovered or covered more than once.
+    is uncovered or covered more than once. Edges are checked through each
+    vertex's bitmasks of the vertices it shares an element with, once and
+    twice, and walked pair by pair only in the rows that are not exact.
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
@@ -127,20 +125,60 @@ def validate_decomposition(
             violations.append(Violation("ElementTooSmall", (idx,)))
         elements.append(Element(tuple(sorted(seen))))  # keep indices stable
 
-    cover: dict[tuple[int, int], int] = {}
-    for elem in elements:
-        for a, b in elem.pairs():
-            cover[(a, b)] = cover.get((a, b), 0) + 1
-    for a, b in combinations(range(n), 2):
-        count = cover.get((a, b), 0)
-        if count == 0:
-            violations.append(Violation("EdgeUncovered", (a, b)))
-        elif count > 1:
-            violations.append(Violation("EdgeMultiplyCovered", (a, b)))
+    met, twice = _meetings((elem.vertices for elem in elements), n)
+    violations.extend(
+        _pair_faults(met, twice, "EdgeUncovered", "EdgeMultiplyCovered")
+    )
 
     if violations:
         raise ValidationError(violations)
     return CliqueDecomposition(n, tuple(elements))
+
+
+def _meetings(
+    groups: Iterable[Sequence[int]], size: int
+) -> tuple[list[int], list[int]]:
+    """Which of the indices 0..size-1 share a group, as int bitmasks.
+
+    ``met[a]`` has bit b set when a and b lie together in some group,
+    ``twice[a]`` when they do in two or more. A group lists distinct indices.
+    The cost is O(size + sum of group sizes) mask operations.
+    """
+    met = [0] * size
+    twice = [0] * size
+    for members in groups:
+        mask = 0
+        for a in members:
+            mask |= 1 << a
+        for a in members:
+            others = mask ^ (1 << a)
+            twice[a] |= met[a] & others
+            met[a] |= others
+    return met, twice
+
+
+def _pair_faults(
+    met: Sequence[int], twice: Sequence[int], missing: str, repeated: str
+) -> Iterator[Violation]:
+    """A ``missing`` or ``repeated`` violation for each pair a < b that met
+    never or more than once, in ``combinations`` order.
+
+    Every pair met exactly once iff each ``met[a]`` is ``full ^ (1 << a)``
+    and each ``twice[a]`` is 0; only the rows that fail this are walked.
+    """
+    n = len(met)
+    full = (1 << n) - 1
+    # one int object per index, however many faults name it (up to n^2 / 2)
+    ids = list(range(n))
+    for a in ids:
+        if met[a] == full ^ (1 << a) and not twice[a]:
+            continue
+        row = f"{(full ^ met[a]) | twice[a]:0{n}b}"[::-1]  # bit b at row[b]
+        b = row.find("1", a + 1)
+        while b >= 0:
+            kind = repeated if twice[a] >> b & 1 else missing
+            yield Violation(kind, (a, ids[b]))
+            b = row.find("1", b + 1)
 
 
 def intersection_graph(d: CliqueDecomposition) -> ConflictGraph:

@@ -27,6 +27,7 @@ from .model import (
     CliqueDecomposition,
     ConflictGraph,
     Element,
+    _meetings,
     check_proper,
     intersection_graph,
 )
@@ -124,19 +125,32 @@ def _iterated_greedy(graph: ConflictGraph, floor: int = 0) -> tuple[int, ...]:
     return tuple(best)
 
 
-def _greedy_clique(neighbors: Sequence[Sequence[int]]) -> list[int]:
-    """A maximal clique grown greedily from the best seed vertex."""
-    m = len(neighbors)
-    neighbor_sets = [set(ns) for ns in neighbors]
+def _greedy_clique(graph: ConflictGraph) -> list[int]:
+    """A maximal clique grown greedily from the best seed vertex.
+
+    Neighborhoods are int bitmasks, each the OR of the node's vertex cliques
+    without the node itself. A step adds the candidate with the most
+    neighbors among the candidates, the lowest index on ties.
+    """
+    m = graph.node_count
+    neighbors, _ = _meetings(graph.cliques, m)
     best: list[int] = []
-    degree_order = sorted(range(m), key=lambda i: (-len(neighbors[i]), i))
+    degree_order = sorted(range(m), key=lambda i: (-neighbors[i].bit_count(), i))
     for seed in degree_order[: min(m, 8)]:
         clique = [seed]
-        common = set(neighbor_sets[seed])
+        common = neighbors[seed]
         while common:
-            nxt = min(common, key=lambda v: (-len(neighbor_sets[v] & common), v))
+            nxt, most = -1, -1
+            rest = common
+            while rest:
+                low = rest & -rest
+                v = low.bit_length() - 1
+                count = (neighbors[v] & common).bit_count()
+                if count > most:
+                    nxt, most = v, count
+                rest ^= low
             clique.append(nxt)
-            common &= neighbor_sets[nxt]
+            common &= neighbors[nxt]
         if len(clique) > len(best):
             best = clique
     return best
@@ -208,10 +222,10 @@ def _exact_color_graph(
     return upper, tuple(upper_witness), nodes
 
 
-def _lower_bound(neighbors: Sequence[Sequence[int]], n: int) -> int:
+def _lower_bound(graph: ConflictGraph, n: int) -> int:
     """The larger of the clique and packing bounds of ``exact_chromatic_index``."""
-    packing_bound = -(-len(neighbors) // (n // 2))
-    return max(1, len(_greedy_clique(neighbors)), packing_bound)
+    packing_bound = -(-graph.node_count // (n // 2))
+    return max(1, len(_greedy_clique(graph)), packing_bound)
 
 
 def exact_chromatic_index(
@@ -247,7 +261,7 @@ def exact_chromatic_index(
     m = graph.node_count
     if m == 0:
         return ExactResult(0, (), 0)
-    lower = _lower_bound(graph.neighbors, d.n)
+    lower = _lower_bound(graph, d.n)
     upper_witness = _iterated_greedy(graph, floor=lower)
     if upper_hint is not None and len(set(upper_hint)) < len(set(upper_witness)):
         upper_witness = upper_hint

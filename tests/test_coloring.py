@@ -11,6 +11,7 @@ from eflcolor import (
     check_proper,
     color_decomposition,
     element_color,
+    element_options,
     explain_element,
     find_certificate,
     fixture,
@@ -69,6 +70,64 @@ class TestElementColor:
         for u in range(9):
             if (u + c) % 9 == j:
                 assert u == c
+
+
+def terms_color(cert):
+    """Reference ``element_color``: reads first and last off ``terms``."""
+    if isinstance(cert, SingleCertificate):
+        p = cert.progression
+        j = (p.terms[0] + p.terms[-1]) % p.modulus
+        if p.length % 2 == 1 and (2 * p.central) % p.modulus != j:
+            raise TheoremViolationError((), "central identity 2c = first + last failed")
+        return j
+    first, second = cert.first, cert.second
+    j = (first.terms[0] + second.terms[-1]) % first.modulus
+    if j != (second.terms[0] + first.terms[-1]) % first.modulus:
+        raise TheoremViolationError((), "split pair sums v_1 + u_l and u_1 + v_l differ")
+    return j
+
+
+def option_decompositions():
+    named = [fixture(name) for name in ("paper_k9", "fano_k7", "sts9_k9")]
+    named += [trivial_edges(7), fixture("near_pencil", n=8)]
+    return named + [
+        random_decomposition(n, seed) for n in range(2, 14) for seed in range(4)
+    ]
+
+
+class TestElementColorClosedForm:
+    """``element_color`` computes first + last from start, step and length;
+    it must agree with the ``terms``-based formula on every option."""
+
+    def test_every_option_matches_terms(self):
+        checked = 0
+        for d in option_decompositions():
+            for elem in d.elements:
+                for cert in element_options(elem.vertices, d.n):
+                    assert element_color(cert) == terms_color(cert), cert
+                    checked += 1
+        assert checked > 1000
+
+    def test_wrapping_and_unreduced_starts(self):
+        for n in (5, 9, 12):
+            for start in range(-n, 2 * n):
+                for step in range(1, n // 2 + 1):
+                    for length in range(1, n + 1):
+                        cert = single(start, step, length, n)
+                        assert element_color(cert) == terms_color(cert)
+
+    def test_split_with_different_steps_raises(self):
+        # ({0,1}, {4,6}): 0 + 6 != 4 + 1
+        cert = SplitCertificate(Progression(0, 1, 2, 9), Progression(4, 2, 2, 9))
+        with pytest.raises(TheoremViolationError, match="split pair sums"):
+            terms_color(cert)
+        with pytest.raises(TheoremViolationError, match="split pair sums"):
+            element_color(cert)
+
+    def test_split_with_different_lengths_raises(self):
+        cert = SplitCertificate(Progression(0, 1, 2, 9), Progression(4, 1, 3, 9))
+        with pytest.raises(TheoremViolationError, match="split pair sums"):
+            element_color(cert)
 
 
 class TestCaseLabels:

@@ -28,7 +28,13 @@ from eflcolor import (
     validate_decomposition,
 )
 from eflcolor.model import intersection_graph
-from eflcolor.oracle import _greedy_on_order, _incidence, _iterated_greedy, _lower_bound
+from eflcolor.oracle import (
+    _greedy_clique,
+    _greedy_on_order,
+    _incidence,
+    _iterated_greedy,
+    _lower_bound,
+)
 
 
 def brute_chi(d):
@@ -248,7 +254,7 @@ class TestGreedyFloor:
     @pytest.mark.parametrize("d", fixtures_and_random(25, 8))
     def test_floor_keeps_witness(self, d):
         graph = intersection_graph(d)
-        lower = _lower_bound(graph.neighbors, d.n)
+        lower = _lower_bound(graph, d.n)
         assert _iterated_greedy(graph, floor=lower) == _iterated_greedy(graph)
 
 
@@ -305,6 +311,39 @@ class TestGreedyOnMasks:
         incidence, degree = _incidence(graph)
         assert degree == [len(ns) for ns in graph.neighbors]
         assert incidence == [list(e.vertices) for e in d.elements]
+
+
+def neighbor_set_clique(neighbors):
+    """Reference clique bound: grows the clique from neighbor sets, taking
+    the candidate with most neighbors among the candidates, lowest first."""
+    neighbor_sets = [set(ns) for ns in neighbors]
+    best = []
+    degree_order = sorted(range(len(neighbors)), key=lambda i: (-len(neighbors[i]), i))
+    for seed in degree_order[:8]:
+        clique = [seed]
+        common = set(neighbor_sets[seed])
+        while common:
+            nxt = min(common, key=lambda v: (-len(neighbor_sets[v] & common), v))
+            clique.append(nxt)
+            common &= neighbor_sets[nxt]
+        if len(clique) > len(best):
+            best = clique
+    return best
+
+
+class TestGreedyCliqueOnMasks:
+    """The clique bound grows its clique from neighbor bitmasks; it must pick
+    the same nodes, in the same order, as the neighbor-set version."""
+
+    @pytest.mark.parametrize(
+        "d",
+        fixtures_and_random(30, 3)
+        + [pytest.param(trivial_edges(n), id=f"trivial_{n}") for n in (2, 3, 9, 13, 21)]
+        + [pytest.param(near_pencil(n), id=f"pencil_{n}") for n in (3, 12, 30)],
+    )
+    def test_matches_neighbor_set_clique(self, d):
+        graph = intersection_graph(d)
+        assert _greedy_clique(graph) == neighbor_set_clique(graph.neighbors)
 
 
 def partition_cover_count(n: int) -> int:
