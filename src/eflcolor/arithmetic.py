@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -362,67 +362,46 @@ def _option_table(
     return every, contains, tuple(every ^ c for c in contains), tuple(centrals)
 
 
-class _LiveCentrals:
-    """``_augment``'s lists in the labeling search: each matched odd
-    element's candidate centrals, read off the options it has left. The
-    centrals of a set of options, relative to the anchor, are kept per
-    table, since the search meets the same sets again and again."""
-
-    def __init__(self, n: int, anchor: list[int], centrals: list, alive_at: list):
-        self.n, self.anchor, self.centrals, self.alive_at = n, anchor, centrals, alive_at
-        tables: dict[int, dict] = {}  # the elements of one size share a table
-        self.memo = [tables.setdefault(id(c), {}) for c in centrals]
-
-    def __getitem__(self, s: int) -> list[int]:
-        alive, memo = self.alive_at[-1][s], self.memo[s]
-        relative = memo.get(alive)
-        if relative is None:
-            relative = memo[alive] = [
-                c for c, sets in enumerate(self.centrals[s]) if alive & sets
-            ]
-        x, n = self.anchor[s], self.n
-        return [(c + x) % n for c in relative]
-
-
 def _augment(
-    i: int, candidates, holder: dict[int, int], held: dict[int, int]
+    i: int, domain: Callable[[int], int], holder: dict[int, int], held: list[int]
 ) -> bool:
     """Kuhn's step: add list i to a matching that covers the lists matched so far.
 
     This answers the distinct-centrals question, one list at a time: a
     bipartite matching between the lists and their members that covers
     every list (Hall's theorem), grown by Kuhn's augmenting paths.
-    ``holder`` maps each taken member to its list and ``held`` each matched
-    list to its member. List i takes a free candidate, or frees a taken one
-    by moving its holder along an alternating path, found depth first in
-    candidate order on an explicit stack. With every other matched list
-    covered, such a path exists iff the lists with i still have distinct
-    representatives (Berge); when none exists the matching is left as it
-    was and False is returned. A path enters a list only through the member
-    it holds, which the path has then already visited, so a list narrowed to
-    that one member is never moved.
+    ``domain(j)`` is list j's members as an int bitmask (member c is bit
+    c), ``holder`` maps each taken member to its list and ``held[j]`` is
+    list j's member, -1 while it has none. List i takes a free member, or
+    frees a taken one by moving its holder along an alternating path, found
+    depth first, members in ascending order, on an explicit stack. With
+    every other matched list covered, such a path exists iff the lists with
+    i still have distinct representatives (Berge); when none exists the
+    matching is left as it was and False is returned. A path enters a list
+    only through the member it holds, which the path has then already
+    visited, so a list narrowed to that one member is never moved.
     """
-    visited: set[int] = set()
-    stack = [(i, iter(candidates[i]))]
+    visited = 0  # the members some path has entered
+    stack = [(i, domain(i))]
     taken: list[int] = []  # the member each list on the stack is moving to
     while stack:
-        for c in stack[-1][1]:
-            if c in visited:
-                continue
-            visited.add(c)
-            taken.append(c)
-            j = holder.get(c)
-            if j is None:
-                for (k, _), m in zip(stack, taken):
-                    holder[m] = k
-                    held[k] = m
-                return True
-            stack.append((j, iter(candidates[j])))
-            break
-        else:
+        rest = stack[-1][1] & ~visited
+        if not rest:
             stack.pop()
             if taken:
                 taken.pop()
+            continue
+        low = rest & -rest
+        visited |= low
+        c = low.bit_length() - 1
+        taken.append(c)
+        j = holder.get(c)
+        if j is None:
+            for (k, _), m in zip(stack, taken):
+                holder[m] = k
+                held[k] = m
+            return True
+        stack.append((j, domain(j)))
     return False
 
 
@@ -465,14 +444,16 @@ def find_certificate(d: CliqueDecomposition) -> ArithmeticCertificate | None:
     its first in canonical order, and its other options are never built.
     Odd-order elements are decided fewest options first, each taking its
     first option in canonical order whose central is unused and still leaves
-    the remaining odd elements distinct centrals. One matching of all odd
-    elements to distinct centrals, kept for the whole call, decides that
-    lookahead exactly: an element is fixed by narrowing its list to the
-    central it holds, and an earlier central c is tried by moving the
-    element to c with one augmenting step, which succeeds iff the fixed
-    elements, this one on c and the rest still match. So this is the first
-    solution a backtracker in the same order would reach, found without
-    backtracking. Returns None iff no selection exists.
+    the remaining odd elements distinct centrals. One ``_augment`` matching
+    of all odd elements to distinct centrals, kept for the whole call,
+    decides that lookahead exactly: an element is fixed by narrowing its
+    mask of centrals to the central it holds, and each central its options
+    list before that one, in canonical order, is tried once with one
+    augmenting step, which succeeds iff the fixed elements, this one on that
+    central and the rest still match. A step asks only whether a matching
+    exists, so its paths may try centrals in ascending order and this is
+    still the first solution a backtracker in canonical order would reach,
+    found without backtracking. Returns None iff no selection exists.
     """
     chosen: list[ElementCertificate] = []
     per_odd: dict[int, tuple[ElementCertificate, ...]] = {}
@@ -487,26 +468,25 @@ def find_certificate(d: CliqueDecomposition) -> ArithmeticCertificate | None:
         chosen.append(first)
 
     odd_indices = sorted(per_odd, key=lambda i: (len(per_odd[i]), i))
-    centrals = [
-        list(dict.fromkeys(o.central for o in per_odd[i])) for i in odd_indices
-    ]
+    centrals = [sum({1 << o.central for o in per_odd[i]}) for i in odd_indices]
     holder: dict[int, int] = {}  # central -> position in odd_indices
-    held: dict[int, int] = {}  # position in odd_indices -> its central
+    held = [-1] * len(odd_indices)  # position in odd_indices -> its central
+    domain = centrals.__getitem__
     for pos in range(len(odd_indices)):
-        if not _augment(pos, centrals, holder, held):
+        if not _augment(pos, domain, holder, held):
             return None
     for pos, idx in enumerate(odd_indices):
-        mine = held[pos]
-        for c in centrals[pos]:  # stops at mine at the latest
-            if c == mine:
+        for option in per_odd[idx]:  # reaches the central held at the latest
+            c, mine = option.central, held[pos]
+            if c != mine and centrals[pos] >> c & 1:  # earlier, not tried yet
+                del holder[mine]
+                left, centrals[pos] = centrals[pos], 1 << c
+                if not _augment(pos, domain, holder, held):
+                    holder[mine], centrals[pos] = pos, left ^ 1 << c
+            if held[pos] == c:
                 break
-            del holder[mine], held[pos]
-            centrals[pos] = [c]
-            if _augment(pos, centrals, holder, held):
-                break
-            holder[mine], held[pos] = pos, mine
-        centrals[pos] = [held[pos]]  # fixed: no later path can move it
-        chosen[idx] = next(o for o in per_odd[idx] if o.central == held[pos])
+        centrals[pos] = 1 << held[pos]  # fixed: no later path can move it
+        chosen[idx] = option
     return ArithmeticCertificate(tuple(chosen))
 
 
@@ -600,16 +580,18 @@ def search_labeling(
     first on it (its anchor), built when that label is placed; the groups
     narrowed at each depth are fixed by the variable order.
 
-    The centrals test keeps one matching of the odd elements that hold a
-    label to distinct centrals, each element's candidates being the
-    centrals of its options left (a necessary condition, the cheapest form
-    of all-different filtering). An element joins by one augmenting step
-    when it gets its first label and is taken out, freeing its central,
-    when that label is undone. An element whose held central leaves its
-    candidates is augmented again; if that fails the branch is cut and the
-    element gets its old central back. Options only come back on undo, so
-    every held central stays a candidate. Only branches without a solution
-    are cut, so the first labeling in plain order is still the one found.
+    The centrals test keeps one ``_augment`` matching of the odd elements
+    that hold a label to distinct centrals, each element's candidates being
+    the centrals of its options left as one bitmask, tried in ascending
+    order (a necessary condition, the cheapest form of all-different
+    filtering). An element joins by one augmenting step when it gets its
+    first label and is taken out, freeing its central, when that label is
+    undone. An element whose held central leaves its candidates is
+    augmented again; if that fails the branch is cut and the element gets
+    its old central back. Options only come back on undo, so every held
+    central stays a candidate. A step fails only when no matching exists,
+    so only branches without a solution are cut, and the first labeling in
+    plain order is still the one found.
     The certificate itself is built once, by ``find_certificate``, for the
     labeling found.
 
@@ -641,35 +623,47 @@ def search_labeling(
     # the vertex: keep the options with it; elsewhere, still open: drop them).
     joins: list[list[int]] = [[] for _ in range(n)]
     narrow: list[list[tuple]] = [[] for _ in range(n)]
-    tables, centrals_of = [], []
+    tables = []  # per element: (every, lacks, centrals, memo)
+    memos: dict[int, dict[int, int]] = {}  # one per size, see domain
     for elem in indexed:
         if len(elem) < 3:
             continue
         s = len(tables)
         every, contains, lacks, centrals = _option_table(len(elem), n)
-        tables.append((every, lacks))
-        centrals_of.append(centrals)
+        tables.append((every, lacks, centrals, memos.setdefault(len(elem), {})))
         depths = sorted(position[v] for v in elem)
         joins[depths[0]].append(s)
         for k in range(depths[0] + 1, depths[-1] + 1):
             narrow[k].append((s, contains if k in depths else lacks, centrals))
 
     labels: list[int] = []  # the label placed at each depth so far
-    label_of = [0] * n
-    used_labels = [False] * n
     anchor = [0] * len(tables)  # each element's first label
     alive_at = [[0] * len(tables)]  # its options left, one list per depth
-    live = _LiveCentrals(n, anchor, centrals_of, alive_at)
     holder: dict[int, int] = {}  # central -> the odd element matched to it
-    held: dict[int, int] = {}  # matched odd element -> its central
+    held = [-1] * len(tables)  # odd element -> its central, -1 if unmatched
+    full = (1 << n) - 1
+
+    def domain(s: int) -> int:
+        # the centrals of element s's options left; relative to the anchor
+        # they depend on those options alone, and the search meets the same
+        # options again and again, so each size keeps them
+        _, _, centrals, memo = tables[s]
+        alive = alive_at[-1][s]
+        relative = memo.get(alive)
+        if relative is None:
+            relative = memo[alive] = sum(
+                1 << c for c, sets in enumerate(centrals) if alive & sets
+            )
+        x = anchor[s]
+        return (relative << x | relative >> n - x) & full
 
     def undo(level: int) -> None:
         # the options narrowed at this level come back, and the odd elements
         # first labeled here leave the matching
         alive_at.pop()
         for s in joins[level]:
-            if s in held:
-                del holder[held.pop(s)]
+            holder.pop(held[s], None)  # held[s] is -1 if s is unmatched
+            held[s] = -1
 
     divisors = [x for x in range(1, n) if n % x == 0]
 
@@ -679,7 +673,7 @@ def search_labeling(
             return [0]
         if depth == 1:
             return divisors
-        return [x for x in range(n) if not used_labels[x]]
+        return [x for x in range(n) if x not in labels]
 
     def consistent(lab: int, depth: int, alive: list[int]) -> bool:
         # narrow the options for label lab at depth, in place, and rematch;
@@ -693,25 +687,21 @@ def search_labeling(
             if centrals and not left & centrals[held[s] - anchor[s]]:
                 moved.append(s)
         for s in joins[depth]:
-            every, lacks = tables[s]
+            every, lacks, centrals, _ = tables[s]
             for y in labels:
                 every &= lacks[y - lab]
             if not every:
                 return False
             anchor[s] = lab
             alive[s] = every
-            if centrals_of[s]:
+            if centrals:
                 moved.append(s)
         for s in moved:
-            old = held.pop(s, None)
-            if old is not None:
-                del holder[old]
-            free = next((c for c in live[s] if c not in holder), None)
-            if free is not None:  # the shortest augmenting path
-                holder[free], held[s] = s, free
-            elif not _augment(s, live, holder, held):
-                if old is not None:
-                    holder[old], held[s] = s, old
+            old = held[s]
+            holder.pop(old, None)  # old is -1 if s joins here
+            if not _augment(s, domain, holder, held):
+                if old >= 0:
+                    holder[old] = s
                 return False
         return True
 
@@ -722,19 +712,16 @@ def search_labeling(
             undo(depth)
             return False
         labels.append(lab)
-        label_of[var_order[depth]] = lab
-        used_labels[lab] = True
         return True
 
     def unplace(lab: int) -> None:
         labels.pop()
         undo(len(labels))
-        used_labels[lab] = False
 
     found, _ = _backtrack(moves, place, unplace, n, budget)
     if not found:
         return None
-    labeling = Labeling(tuple((order[v], label_of[v]) for v in range(n)))
+    labeling = Labeling(tuple((order[v], labels[position[v]]) for v in range(n)))
     relabeled = apply_labeling(n, elements, labeling)
     cert = find_certificate(relabeled)
     if cert is None:

@@ -102,30 +102,32 @@ def random_decomposition(n: int, seed: int) -> CliqueDecomposition:
     return validate_decomposition(n, elements)
 
 
+# name -> (the parameters it reads, a prefix of n, seed; its builder)
+_FIXTURES = {
+    "paper_k9": (
+        (), lambda: validate_decomposition(9, complete_with_pairs(9, K9_TRIANGLES))
+    ),
+    "fano_k7": ((), lambda: validate_decomposition(7, FANO_TRIPLES)),
+    "sts9_k9": ((), lambda: validate_decomposition(9, STS9_TRIPLES)),
+    "trivial_edges": (("n",), trivial_edges),
+    "near_pencil": (("n",), near_pencil),
+    "random": (("n", "seed"), random_decomposition),
+}
+
+
 def fixture(
     name: str, n: int | None = None, seed: int | None = None
 ) -> CliqueDecomposition:
     """Build a named instance: ``paper_k9``, ``fano_k7``, ``sts9_k9``,
     ``trivial_edges`` and ``near_pencil`` (these two need ``n``), or
-    ``random`` (needs ``n`` and ``seed``)."""
-    if name == "paper_k9":
-        return validate_decomposition(9, complete_with_pairs(9, K9_TRIANGLES))
-    if name == "trivial_edges":
-        return trivial_edges(_required(n, "trivial_edges needs n"))
-    if name == "near_pencil":
-        return near_pencil(_required(n, "near_pencil needs n"))
-    if name == "fano_k7":
-        return validate_decomposition(7, FANO_TRIPLES)
-    if name == "sts9_k9":
-        return validate_decomposition(9, STS9_TRIPLES)
-    if name == "random":
-        return random_decomposition(
-            _required(n, "random needs n"), _required(seed, "random needs seed")
-        )
-    raise UnknownFixtureError(name)
-
-
-def _required(value: int | None, message: str) -> int:
-    if value is None:
-        raise ValueError(message)
-    return value
+    ``random`` (needs ``n`` and ``seed``). A missing ``n`` or ``seed``, or
+    one the named instance does not read, raises ValueError."""
+    if name not in _FIXTURES:
+        raise UnknownFixtureError(name)
+    reads, build = _FIXTURES[name]
+    for parameter, value in zip(("n", "seed"), (n, seed)):
+        if value is None and parameter in reads:
+            raise ValueError(f"{name} needs {parameter}")
+        if value is not None and parameter not in reads:
+            raise ValueError(f"{name} takes no {parameter}")
+    return build(*(n, seed)[: len(reads)])

@@ -68,7 +68,13 @@ class TestGenerate:
 
     @pytest.mark.parametrize(
         "args, message",
-        [(("nope",), "unknown fixture 'nope'"), (("random", "--n", "5"), "random needs seed")],
+        [
+            (("nope",), "unknown fixture 'nope'"),
+            (("random", "--n", "5"), "random needs seed"),
+            (("paper_k9", "--n", "3"), "paper_k9 takes no n"),
+            (("fano_k7", "--seed", "1"), "fano_k7 takes no seed"),
+            (("trivial_edges", "--n", "5", "--seed", "1"), "trivial_edges takes no seed"),
+        ],
     )
     def test_failure_reported_by_main_without_json(self, args, message, capsys):
         assert cli.main(["generate", *args, "--json"]) == 2
