@@ -552,8 +552,15 @@ def search_labeling(
     Backtracks over partial vertex assignments. A branch dies as soon as an
     element can no longer be completed to a set with options, or the odd
     elements holding a label can no longer receive pairwise distinct
-    centrals. Exhaustive up to two symmetries, so None means no labeling
-    exists:
+    centrals. The vertices are labeled in a fixed order, fail first
+    (Haralick & Elliott, Artificial Intelligence 14, 1980): the pinned
+    vertex, then the rest by the number of elements of three or more
+    vertices through them, then by the number of elements through them (both
+    descending), then by first appearance. Pairs always have an option, so
+    they never cut a branch and do not count toward the first key. Each
+    vertex tries its labels in ascending order, and the labeling returned is
+    the first of that plain depth-first search. Exhaustive up to two
+    symmetries, so None means no labeling exists:
 
     - Translation: the first vertex of the largest element is pinned to 0.
       Adding t to every label keeps every progression a progression and
@@ -566,7 +573,8 @@ def search_labeling(
       gcd(x, n), whose least member is that gcd, a divisor. A subtree
       without a solution thus proves its whole orbit has none, and the
       first solution in plain order lies below a divisor: the labelings
-      returned are exactly those of the plain search, in no more nodes.
+      returned are exactly those of the plain search in the same variable
+      order, in no more nodes.
 
     Forward checking: every element of three or more vertices that holds a
     label keeps the options it can still take, the option sets O (see
@@ -607,14 +615,17 @@ def search_labeling(
     largest = max(range(m), key=lambda i: (len(indexed[i]), -i))
     pinned = indexed[largest][0]
 
-    # Static variable order: pinned vertex first, then by how many elements
-    # a vertex touches (most constrained first), ties by first appearance.
+    # Static variable order, fail first (see above): pinned vertex first,
+    # then by constraining elements, by membership, by first appearance.
+    constraining = [0] * n
     membership = [0] * n
     for elem in indexed:
         for v in elem:
             membership[v] += 1
+            constraining[v] += len(elem) >= 3
     var_order = [pinned] + sorted(
-        (v for v in range(n) if v != pinned), key=lambda v: (-membership[v], v)
+        (v for v in range(n) if v != pinned),
+        key=lambda v: (-constraining[v], -membership[v], v),
     )
     position = {v: i for i, v in enumerate(var_order)}
 

@@ -59,13 +59,17 @@ def _token_column(raw: str, i: int) -> int:
 
 
 def _int_token(tokens: list[str], i: int, lineno: int, raw: str, what: str) -> int:
-    """The i-th token of a content line as an integer."""
-    try:
-        return int(tokens[i])
-    except ValueError:
-        raise ParseError(
-            lineno, _token_column(raw, i), f"{what}: {tokens[i]!r} is not an integer"
-        )
+    """The i-th token of a content line as an integer: ASCII digits with an
+    optional leading '-' (``int()`` alone would also take '+', '_' and
+    non-ASCII digits)."""
+    token = tokens[i]
+    if token.isdigit() and token.isascii() or (
+        token[:1] == "-" and token[1:].isdigit() and token.isascii()
+    ):
+        return int(token)
+    raise ParseError(
+        lineno, _token_column(raw, i), f"{what}: {token!r} is not an integer"
+    )
 
 
 def _size_token(tokens: list[str], i: int, lineno: int, raw: str, what: str) -> int:
@@ -101,12 +105,19 @@ def parse_instance(text: str) -> CliqueDecomposition:
                 raise ParseError(lineno, 1, "element before the 'n <int>' header")
             if len(tokens) < 2:
                 raise ParseError(lineno, 1, "element line lists at least one vertex")
-            elements.append(
-                tuple(
-                    _int_token(tokens, i, lineno, raw, "vertex")
-                    for i in range(1, len(tokens))
+            vertices = tokens[1:]
+            joined = "".join(vertices)
+            # every vertex plain ASCII digits (the common case): convert them
+            # at once; otherwise each one is checked, and a bad one reported
+            if joined.isdigit() and joined.isascii():
+                elements.append(tuple(map(int, vertices)))
+            else:
+                elements.append(
+                    tuple(
+                        _int_token(tokens, i, lineno, raw, "vertex")
+                        for i in range(1, len(tokens))
+                    )
                 )
-            )
         elif keyword == "auto-edges":
             if len(tokens) > 1:
                 raise ParseError(

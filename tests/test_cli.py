@@ -99,6 +99,20 @@ class TestValidate:
         bad.write_text("n x\n")
         run_cli("validate", str(bad), expect=2)
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("n 1_1\n", "line 1, column 3"),
+            ("n 3\nelement 0 \u0662\n", "line 2, column 11"),
+        ],
+        ids=["underscore", "arabic-indic-digit"],
+    )
+    def test_int_quirk_exit_2(self, tmp_path, text, where):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text, encoding="utf-8")
+        proc = run_cli("validate", str(bad), expect=2)
+        assert where in proc.stderr and "is not an integer" in proc.stderr
+
     def test_missing_file_exit_2(self):
         run_cli("validate", "/nonexistent/file.txt", expect=2)
 

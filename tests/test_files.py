@@ -151,6 +151,38 @@ def test_second_header_rejected(parse, text, line):
     assert str(exc.value).endswith("duplicate header line")
 
 
+@pytest.mark.parametrize(
+    "parse, text, column, what, token",
+    [
+        (parse_instance, "n 1_1\n", 3, "order", "1_1"),
+        (parse_instance, "n +3\n", 3, "order", "+3"),
+        (parse_instance, "n 3\nelement +0 1\n", 9, "vertex", "+0"),
+        (parse_instance, "n 3\nelement 0 \u0662\n", 11, "vertex", "\u0662"),
+        (parse_instance, "n 3\nelement 0 1\u00b2\n", 11, "vertex", "1\u00b2"),
+        (parse_instance, "n 3\nelement 0 -\n", 11, "vertex", "-"),
+        (parse_instance, "n 3\nelement 0 --1\n", 11, "vertex", "--1"),
+        (parse_coloring, "colors-used 1\ncolor 0_2 2\n", 7, "element index", "0_2"),
+        (parse_coloring, "colors-used 1\ncolor 0 +0\n", 9, "color index", "+0"),
+        (parse_coloring, "colors-used \u0661\n", 13, "count", "\u0661"),
+        (parse_hypergraph, "edges 1_0\n", 7, "edge count", "1_0"),
+        (parse_hypergraph, "edges \u0663\n", 7, "edge count", "\u0663"),
+    ],
+)
+def test_only_ascii_digits_are_integers(parse, text, column, what, token):
+    # int() alone takes '_' separators, a '+' sign and any Unicode digit;
+    # the bad token is on the text's last line
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (text.count("\n"), column)
+    assert str(exc.value).endswith(f"{what}: {token!r} is not an integer")
+
+
+def test_negative_vertex_reaches_validation():
+    with pytest.raises(ValidationError) as exc:
+        parse_instance("n 3\nelement -1 1\nauto-edges\n")
+    assert "LabelOutOfRange 0 -1" in str(exc.value)
+
+
 def test_auto_edges_takes_no_arguments():
     with pytest.raises(ParseError) as exc:
         parse_instance("n 3\n  auto-edges please ignore me\n")
