@@ -63,9 +63,7 @@ def _int_token(tokens: list[str], i: int, lineno: int, raw: str, what: str) -> i
     optional leading '-' (``int()`` alone would also take '+', '_' and
     non-ASCII digits)."""
     token = tokens[i]
-    if token.isdigit() and token.isascii() or (
-        token[:1] == "-" and token[1:].isdigit() and token.isascii()
-    ):
+    if token.isascii() and token.removeprefix("-").isdigit():
         return int(token)
     raise ParseError(
         lineno, _token_column(raw, i), f"{what}: {token!r} is not an integer"
@@ -105,19 +103,12 @@ def parse_instance(text: str) -> CliqueDecomposition:
                 raise ParseError(lineno, 1, "element before the 'n <int>' header")
             if len(tokens) < 2:
                 raise ParseError(lineno, 1, "element line lists at least one vertex")
-            vertices = tokens[1:]
-            joined = "".join(vertices)
-            # every vertex plain ASCII digits (the common case): convert them
-            # at once; otherwise each one is checked, and a bad one reported
-            if joined.isdigit() and joined.isascii():
-                elements.append(tuple(map(int, vertices)))
-            else:
-                elements.append(
-                    tuple(
-                        _int_token(tokens, i, lineno, raw, "vertex")
-                        for i in range(1, len(tokens))
-                    )
+            elements.append(
+                tuple(
+                    _int_token(tokens, i, lineno, raw, "vertex")
+                    for i in range(1, len(tokens))
                 )
+            )
         elif keyword == "auto-edges":
             if len(tokens) > 1:
                 raise ParseError(
