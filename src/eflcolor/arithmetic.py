@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from math import gcd
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -295,63 +294,45 @@ def _option_table(
 
     An option set is a label set with ``element_options``: one
     k-progression or, for an even size, two disjoint k-progressions of
-    size / 2, for a step k in 1..n // 2. A k-progression is a window of
-    consecutive terms of one cycle of x -> x + k, so the sets are read off
-    windows: the ones through 0 in the cycle of 0, and for a split a second
-    window of the same step that neither meets nor touches the first (a
-    touching pair is one window, already listed). Set i is bit i. Returns
-    ``(every, contains, lacks, centrals)``: ``every`` has a bit per set,
-    ``contains[y]`` the sets holding label y and ``lacks[y]`` the others,
-    and for an odd size ``centrals[c]`` the sets with a single progression
-    centred on c (empty for an even size). The sets holding label x are
-    these shifted by x, so ``contains[y - x]`` and ``centrals[c - x]``
-    answer for them.
+    size / 2, for a step k in 1..n // 2. A k-progression of r distinct
+    terms is a window of r consecutive terms of one cycle of x -> x + k,
+    for r up to the cycle length n / gcd(k, n), and the window starting at
+    s is the one starting at 0 shifted by s. So for each step the sets are
+    the windows of ``size`` terms through 0 and, for a split, each window
+    of size / 2 through 0 joined with each window of size / 2 that does
+    not meet it. A set that comes up more than once (one window under
+    several steps, or two touching halves, which form one window) is kept
+    once, with the centrals of every listing, so repeats change nothing.
+    Set i is bit i. Returns ``(every, contains, lacks, centrals)``:
+    ``every`` has a bit per set, ``contains[y]`` the sets holding label y
+    and ``lacks[y]`` the others, and for an odd size ``centrals[c]`` the
+    sets with a single progression centred on c (empty for an even size).
+    The sets holding label x are these shifted by x, so ``contains[y - x]``
+    and ``centrals[c - x]`` answer for them.
     """
     found: dict[int, list[int]] = {}  # set -> its centrals
     half = 0 if size % 2 else size // 2
     full = (1 << n) - 1
-    bit = [1 << x for x in range(n)]
-    cycles = set()  # the lengths of the cycles of 0 whose windows are listed
+
+    def windows(r: int, step: int) -> list[int]:  # the one starting at each s
+        w = sum(1 << i * step % n for i in range(r))
+        return [(w << s | w >> n - s) & full for s in range(n)]
+
     for step in range(1, n // 2 + 1):
         cycle = n // gcd(step, n)
-        # A window of all the cycle, or all but one term p, is the same set
-        # for every step of this cycle, with the same centrals: every term,
-        # or p + n / 2 (an odd window of cycle - 1 terms starts at p + step;
-        # step = gcd * u with u odd, so (cycle / 2) * step = n / 2 mod n).
-        singles = size <= cycle and not (size >= cycle - 1 and cycle in cycles)
-        # A split's halves neither meet nor touch: apart in the cycle of 0,
-        # which needs size + 2 terms, or in two cycles.
-        splits = 0 < half <= cycle and (cycle >= size + 2 or cycle < n)
-        if not (singles or splits):
-            continue
-        terms = [bit[i * step % n] for i in range(cycle)]  # the cycle of 0
-        if singles:  # the window with 0 as its term j, slid back
-            cycles.add(cycle)
-            mask = sum(terms[:size])
+        if size <= cycle:  # the window with 0 as its term j
+            singles = windows(size, step)
             for j in range(size):
-                if j:
-                    mask = mask ^ terms[size - j] | terms[-j]
-                centrals = found.setdefault(mask, [])
+                centrals = found.setdefault(singles[-j * step % n], [])
                 if not half:
                     centrals.append((size // 2 - j) * step % n)
-        if not splits:
-            continue
-        prefix = list(accumulate(terms, initial=0))
-
-        def window(t: int) -> int:  # terms t .. t + half - 1 of the cycle of 0
-            if t + half <= cycle:
-                return prefix[t + half] - prefix[t]
-            return prefix[cycle] - prefix[t] + prefix[t + half - cycle]
-
-        for j in range(half):
-            t = -j % cycle
-            first = window(t)
-            for u in range(t + half + 1, t + cycle - half):
-                found.setdefault(first | window(u % cycle), [])
-            for shift in range(1, n // cycle):  # the cycle of shift
-                for u in range(cycle):
-                    w = window(u)
-                    found.setdefault(first | (w << shift | w >> n - shift) & full, [])
+        if 0 < half <= cycle:
+            halves = windows(half, step)
+            for j in range(half):
+                first = halves[-j * step % n]
+                for w in halves:
+                    if not first & w:
+                        found.setdefault(first | w, [])
     rows = [format(mask, f"0{n}b") for mask in found]  # label n - 1 first
     contains = tuple(int("".join(reversed(col)), 2) for col in zip(*rows))[::-1]
     every = (1 << len(rows)) - 1
@@ -405,7 +386,7 @@ def _augment(
     return False
 
 
-def _backtrack(moves, place, unplace, goal: int, budget: int, nodes: int = 0):
+def _backtrack(moves, place, unplace, goal: int, budget: int):
     """Depth-first search on an explicit stack; returns (found, nodes).
 
     ``moves()`` lists the candidates of the next level for the current state.
@@ -413,12 +394,13 @@ def _backtrack(moves, place, unplace, goal: int, budget: int, nodes: int = 0):
     below it, returns False with the state unchanged. ``unplace(c)`` undoes a
     placed candidate. A state with ``goal`` (at least 1) candidates placed
     is a solution, left in place on return. Every candidate tried is one
-    node, counted on from ``nodes``; trying more than ``budget`` raises
-    BudgetExceededError. No recursion, so the depth of the search is not
-    bounded by Python's recursion limit.
+    node; trying more than ``budget`` raises BudgetExceededError. No
+    recursion, so the depth of the search is not bounded by Python's
+    recursion limit.
     """
     levels = [iter(moves())]
     path = []
+    nodes = 0
     while levels:
         for c in levels[-1]:  # resumes where this level stopped
             nodes += 1

@@ -143,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     # None: not given, which random mode reads as 20 and 0
     p.add_argument("--count", type=_count, help="instances per n in random mode (default 20)")
-    p.add_argument("--seed", type=int, help="first generator seed in random mode (default 0)")
+    p.add_argument("--seed", type=_int, help="first generator seed in random mode (default 0)")
     p.add_argument("--budget", type=_count, default=200_000, help="labeling-search node budget")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_sweep)
@@ -151,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write a named fixture instance")
     p.add_argument("name")
     p.add_argument("--n", type=_order)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int)
     p.add_argument("--out")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_generate)
@@ -160,10 +160,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _int(text: str) -> int:
-    try:
+    """argparse type of the integer options, read as the files read them."""
+    if files.is_integer(text):
         return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _count(text: str) -> int:

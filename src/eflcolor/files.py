@@ -58,12 +58,17 @@ def _token_column(raw: str, i: int) -> int:
     return [m.start() for m in re.finditer(r"\S+", raw)][i] + 1
 
 
+def is_integer(token: str) -> bool:
+    """Whether a token spells an integer: ASCII digits with an optional
+    leading '-' (``int()`` alone would also take '+', '_' and non-ASCII
+    digits)."""
+    return token.isascii() and token.removeprefix("-").isdigit()
+
+
 def _int_token(tokens: list[str], i: int, lineno: int, raw: str, what: str) -> int:
-    """The i-th token of a content line as an integer: ASCII digits with an
-    optional leading '-' (``int()`` alone would also take '+', '_' and
-    non-ASCII digits)."""
+    """The i-th token of a content line as an integer (see ``is_integer``)."""
     token = tokens[i]
-    if token.isascii() and token.removeprefix("-").isdigit():
+    if is_integer(token):
         return int(token)
     raise ParseError(
         lineno, _token_column(raw, i), f"{what}: {token!r} is not an integer"

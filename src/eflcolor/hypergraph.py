@@ -317,15 +317,16 @@ def extend_coloring(
 
 
 def _sorted_ids(ids: Iterable[HVertex]) -> list[HVertex]:
-    """Deterministic order; digit strings sort by value so that file-parsed
-    ids round-trip in the same order as their integer originals."""
+    """Deterministic order; ASCII digit strings sort by value so that
+    file-parsed ids round-trip in the same order as their integer originals.
+    Other names, '²' and '٢' among them, sort as strings."""
 
     def key(v: HVertex) -> tuple:
         if isinstance(v, bool):
             return (2, str(v))
         if isinstance(v, int):
             return (0, v, "")
-        if isinstance(v, str) and v.isdigit():
+        if isinstance(v, str) and v.isascii() and v.isdigit():
             return (0, int(v), v)
         return (1, 0, str(v))
 

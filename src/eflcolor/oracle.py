@@ -214,9 +214,10 @@ def _exact_color_graph(
     for k in range(lower, upper):
         # a failed attempt unplaces every color, so the next starts blank
         try:
-            found, nodes = _backtrack(moves, place, unplace, m, budget, nodes)
+            found, tried = _backtrack(moves, place, unplace, m, budget - nodes)
         except BudgetExceededError:
             raise BudgetExceededError(budget, (k, upper)) from None
+        nodes += tried
         if found:
             return k, tuple(colors), nodes
     return upper, tuple(upper_witness), nodes

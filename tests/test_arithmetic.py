@@ -943,6 +943,30 @@ class TestForwardCheck:
     """The search's check keeps an element alive exactly when it can still be
     completed to a set with ``element_options``, with those sets' centrals."""
 
+    def test_table_is_every_option_set_through_zero(self):
+        for n in range(3, 13):
+            for size in range(3, n + 1):
+                every, contains, lacks, centrals = arithmetic._option_table(size, n)
+                assert every & (every + 1) == 0  # one bit per set, 0 up
+                sets = [
+                    frozenset(y for y in range(n) if contains[y] >> i & 1)
+                    for i in range(every.bit_length())
+                ]
+                expected = {}
+                for rest in combinations(range(1, n), size - 1):
+                    options = element_options((0, *rest), n)
+                    if options:
+                        expected[frozenset((0, *rest))] = options
+                assert len(set(sets)) == len(sets), (n, size)
+                assert set(sets) == set(expected), (n, size)
+                if size % 2:
+                    for i, s in enumerate(sets):
+                        mine = {c for c in range(n) if centrals[c] >> i & 1}
+                        assert mine == {o.central for o in expected[s]}, (n, s)
+                else:
+                    assert centrals == ()
+                assert lacks == tuple(every ^ contains[y] for y in range(n))
+
     def test_complete_sets_match_element_options(self):
         checked = 0
         for n in range(3, 12):

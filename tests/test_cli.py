@@ -474,6 +474,34 @@ class TestConvert:
         assert "edge count must be at least 2, got 0" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_superscript_vertex_name_exit_0(self, tmp_path):
+        # '²' passes str.isdigit() but is no integer: it sorts as a name
+        h = tmp_path / "h.txt"
+        h.write_text("edges 3\nedge A : ² b\nedge B : b c\nedge C : ² c\n")
+        proc = run_cli("convert", str(h), "--to", "decomposition")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.startswith("# vertex->element b->0 c->1 ²->2\nn 3\n")
+
+
+class TestIntegerOptions:
+    """Integer options take ASCII digits with an optional leading '-', as
+    the file formats do; ``int()``'s other spellings are usage errors."""
+
+    @pytest.mark.parametrize(
+        "args, option, value",
+        [
+            (("generate", "trivial_edges", "--n", "٥"), "--n", "٥"),
+            (("generate", "trivial_edges", "--n", "1_0"), "--n", "1_0"),
+            (("generate", "trivial_edges", "--n", "+5"), "--n", "+5"),
+            (("generate", "random", "--n", "5", "--seed", "١"), "--seed", "١"),
+            (("sweep", "--n-max", "4", "--mode", "random", "--seed", "١"), "--seed", "١"),
+        ],
+    )
+    def test_other_int_spellings_are_usage_errors(self, args, option, value):
+        proc = run_cli(*args, expect=2)
+        assert f"argument {option}: invalid int value: {value!r}" in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestSweep:
     def test_exhaustive_n3(self):

@@ -170,6 +170,11 @@ class TestVertexEdges:
             assert d == expected
             assert dict(corr.element_to_vertex) == dict(enumerate(order))
 
+    def test_sorted_ids_reads_only_ascii_digits_as_numbers(self):
+        # '²' and '٢' pass str.isdigit() but int() rejects '²': both sort
+        # as strings, after the ASCII numbers
+        assert _sorted_ids(["10", "²", "b", "٢", "9", 3]) == [3, "9", "10", "b", "²", "٢"]
+
 
 class TestColoringTransfer:
     def test_triangle_transfer(self):
