@@ -203,13 +203,17 @@ def split_orderings(
     return tuple(found)
 
 
-def _run_length(start: int, step: int, n: int, target: frozenset[int]) -> int:
-    """How many of start, start+step, ... lie in the set before one is missing."""
-    length = 0
-    while start in target:
-        length += 1
-        start = (start + step) % n
-    return length
+@lru_cache(maxsize=256)
+def _windows(r: int, step: int, n: int) -> tuple[int, ...]:
+    """The step-k windows of r terms of Z_n as bits, one per start s.
+
+    Entry s is s, s+k, ..., s+(r-1)k mod n, label x being bit x: the
+    window starting at 0 shifted by s. Its terms are distinct iff r is at
+    most the cycle length n / gcd(k, n).
+    """
+    w = sum(1 << i * step % n for i in range(r))
+    full = (1 << n) - 1
+    return tuple((w << s | w >> n - s) & full for s in range(n))
 
 
 def _iter_options(
@@ -220,61 +224,36 @@ def _iter_options(
     Order: ascending step; within a step, single progressions (ascending
     start) before splits (ascending start pair). This is what
     ``arithmetic_orderings`` and ``split_orderings`` list, read off the
-    structure of the set W under x -> x + k instead: Z_n falls into cycles
-    of length n / gcd(k, n), and W into whole cycles and runs (maximal
-    stretches w, w+k, ... inside one cycle, each with one start, the member
-    whose predecessor is missing). A k-progression of distinct terms is a
-    run of length below the cycle length, with its start as the only start,
-    or a whole cycle, with every member as a start. So W has
-      - one single iff it is one run (start: the run's), or one whole cycle
-        (starts: all of W);
-      - splits (halves of r/2 terms) iff it is two runs of r/2 (one pair),
-        one run cut in the middle (one pair), one whole cycle cut in two
-        opposite halves (r/2 pairs), or two whole cycles of r/2 (every
-        pair of members from different cycles).
-    Each step costs O(r). A caller that needs just the first option pays
+    step's windows (``_windows``) instead: for r = |W| up to the cycle
+    length, s starts a single iff its window of r terms is W. For half =
+    r/2 up to the cycle length, (s, t) with s < t is a split iff the
+    half-windows at s and t lie in W and do not meet; their sizes add up to
+    r, so then they cover W. A caller that needs just the first option pays
     for the steps up to it.
     """
-    target = frozenset(vertices)
-    r = len(target)
+    ws = sorted(set(vertices))
+    r = len(ws)
     if r < 2:
         raise ValueError("elements have at least two vertices")
-    ws = sorted(target)
+    mask = sum(1 << w for w in ws)
     half = 0 if r % 2 else r // 2
     for step in range(1, n // 2 + 1):
         cycle = n // gcd(step, n)
-        if r > (2 * cycle if half else cycle):
-            continue
-        starts = [w for w in ws if (w - step) % n not in target]
-        pairs: Iterable[tuple[int, int]] = ()
-        if not starts:  # W is whole cycles, of `cycle` members each
-            if r == cycle:
-                for s in ws:
+        if r <= cycle:
+            singles = _windows(r, step, n)
+            for s in ws:
+                if singles[s] == mask:
                     yield SingleCertificate(Progression(s, step, r, n))
-                if half:  # s and s + (r/2)k start opposite halves
-                    pairs = [(s, (s + half * step) % n) for s in ws]
-                    pairs = [(s, t) for s, t in pairs if s < t]
-            elif half == cycle:  # two cycles; the cycle of x is x mod gcd
-                g = n // cycle
-                pairs = [
-                    (s, t) for i, s in enumerate(ws) for t in ws[i + 1 :] if (t - s) % g
-                ]
-        elif len(starts) == 1:
-            if r < cycle:  # one run, not a whole cycle beside it
-                s = starts[0]
-                yield SingleCertificate(Progression(s, step, r, n))
-                if half:
-                    t = (s + half * step) % n
-                    pairs = [(min(s, t), max(s, t))]
-        elif len(starts) == 2 and half:
-            # the first run has r/2 members, which is below the cycle length,
-            # so the rest is too short for a whole cycle: it is the other run
-            if _run_length(starts[0], step, n, target) == half:
-                pairs = [tuple(starts)]
-        for s, t in pairs:
-            yield SplitCertificate(
-                Progression(s, step, half, n), Progression(t, step, half, n)
-            )
+        if 0 < half <= cycle:
+            halves = _windows(half, step, n)
+            inside = [s for s in ws if not halves[s] & ~mask]
+            for i, s in enumerate(inside):
+                for t in inside[i + 1 :]:
+                    if not halves[s] & halves[t]:
+                        yield SplitCertificate(
+                            Progression(s, step, half, n),
+                            Progression(t, step, half, n),
+                        )
 
 
 def element_options(vertices: Iterable[int], n: int) -> tuple[ElementCertificate, ...]:
@@ -296,13 +275,13 @@ def _option_table(
     k-progression or, for an even size, two disjoint k-progressions of
     size / 2, for a step k in 1..n // 2. A k-progression of r distinct
     terms is a window of r consecutive terms of one cycle of x -> x + k,
-    for r up to the cycle length n / gcd(k, n), and the window starting at
-    s is the one starting at 0 shifted by s. So for each step the sets are
-    the windows of ``size`` terms through 0 and, for a split, each window
-    of size / 2 through 0 joined with each window of size / 2 that does
-    not meet it. A set that comes up more than once (one window under
-    several steps, or two touching halves, which form one window) is kept
-    once, with the centrals of every listing, so repeats change nothing.
+    for r up to the cycle length n / gcd(k, n) (see ``_windows``). So for
+    each step the sets are the windows of ``size`` terms through 0 and, for
+    a split, each window of size / 2 through 0 joined with each window of
+    size / 2 that does not meet it. A set that comes up more than once
+    (one window under several steps, or two touching halves, which form one
+    window) is kept once, with the centrals of every listing, so repeats
+    change nothing.
     Set i is bit i. Returns ``(every, contains, lacks, centrals)``:
     ``every`` has a bit per set, ``contains[y]`` the sets holding label y
     and ``lacks[y]`` the others, and for an odd size ``centrals[c]`` the
@@ -312,22 +291,16 @@ def _option_table(
     """
     found: dict[int, list[int]] = {}  # set -> its centrals
     half = 0 if size % 2 else size // 2
-    full = (1 << n) - 1
-
-    def windows(r: int, step: int) -> list[int]:  # the one starting at each s
-        w = sum(1 << i * step % n for i in range(r))
-        return [(w << s | w >> n - s) & full for s in range(n)]
-
     for step in range(1, n // 2 + 1):
         cycle = n // gcd(step, n)
         if size <= cycle:  # the window with 0 as its term j
-            singles = windows(size, step)
+            singles = _windows(size, step, n)
             for j in range(size):
                 centrals = found.setdefault(singles[-j * step % n], [])
                 if not half:
                     centrals.append((size // 2 - j) * step % n)
         if 0 < half <= cycle:
-            halves = windows(half, step)
+            halves = _windows(half, step, n)
             for j in range(half):
                 first = halves[-j * step % n]
                 for w in halves:

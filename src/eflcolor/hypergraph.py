@@ -24,6 +24,7 @@ from .errors import (
 )
 from .model import (
     CliqueDecomposition,
+    Element,
     Verdict,
     _meetings,
     _pair_faults,
@@ -138,14 +139,15 @@ def decomposition_to_quasicluster(
     """Edges = element sets per K_n vertex; hypergraph vertices = elements.
 
     Requires every K_n vertex to lie in at least two elements, which fails
-    only for the one-element decomposition {K_n}.
+    only for the one-element decomposition {K_n}. Two K_n vertices lie in
+    exactly one element, the one vertex their edges share, so a valid
+    decomposition gives a quasicluster, and it is not validated again.
     """
     containing = d.vertex_elements()
     for v in range(d.n):
         if len(containing[v]) < 2:
             raise VertexInOneElementError(v)
-    edges = tuple(tuple(members) for members in containing)
-    h = validate_quasicluster(edges)
+    h = Hypergraph(tuple(tuple(members) for members in containing))
     corr = Correspondence(
         decomposition=d,
         quasicluster=h,
@@ -157,12 +159,18 @@ def decomposition_to_quasicluster(
 def quasicluster_to_decomposition(
     h: Quasicluster,
 ) -> tuple[CliqueDecomposition, Correspondence]:
-    """K_n vertices = edge indices; element of a hypergraph vertex = its edge set."""
+    """K_n vertices = edge indices; element of a hypergraph vertex = its edge set.
+
+    Two edges share exactly one vertex, whose element then holds both, and
+    each vertex lies in two or more edges, listed ascending, so a valid
+    quasicluster gives a decomposition, and it is not validated again.
+    """
     n = h.n
     containing = h.vertex_edges()
     vertex_order = _sorted_ids(containing)
-    raw_elements = [tuple(containing[u]) for u in vertex_order]
-    d = validate_decomposition(n, raw_elements)
+    d = CliqueDecomposition(
+        n, tuple(Element(tuple(containing[u])) for u in vertex_order)
+    )
     corr = Correspondence(
         decomposition=d,
         quasicluster=h,

@@ -922,6 +922,16 @@ class TestOptionGenerator:
         assert find_certificate(d) is not None
         assert len(built) == len(d.elements)
 
+    def test_windows_are_progression_term_sets(self):
+        for n in range(2, 17):
+            for step in range(1, n // 2 + 1):
+                for r in range(1, n // gcd(step, n) + 1):
+                    windows = arithmetic._windows(r, step, n)
+                    assert len(windows) == n
+                    for s, w in enumerate(windows):
+                        terms = Progression(s, step, r, n).term_set
+                        assert w == sum(1 << y for y in terms), (r, step, n, s)
+
 
 def options_left(n, size, placed, used, anchor):
     """What the search's forward check keeps of an element of ``size``

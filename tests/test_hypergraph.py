@@ -106,6 +106,28 @@ class TestBijection:
                 e.vertices for e in d.elements
             ]
 
+    def test_converted_structures_are_valid(self):
+        # the converters do not validate what they build, so check it here
+        done = 0
+        for d in (
+            fixture("paper_k9"),
+            trivial_edges(6),
+            near_pencil(7),
+            fixture("fano_k7"),
+            fixture("sts9_k9"),
+            *(random_decomposition(n, s) for n in range(4, 15) for s in range(10)),
+        ):
+            if len(d.elements) == 1:
+                continue
+            h, _ = decomposition_to_quasicluster(d)
+            assert validate_quasicluster(h.edges) == h
+            back, _ = quasicluster_to_decomposition(h)
+            assert back == validate_decomposition(
+                back.n, [e.vertices for e in back.elements]
+            )
+            done += 1
+        assert done >= 100
+
     def test_single_element_not_convertible(self):
         d = validate_decomposition(4, [(0, 1, 2, 3)])
         with pytest.raises(VertexInOneElementError):
