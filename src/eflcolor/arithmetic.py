@@ -203,53 +203,62 @@ def split_orderings(
     return tuple(found)
 
 
-@lru_cache(maxsize=256)
-def _windows(r: int, step: int, n: int) -> tuple[int, ...]:
-    """The step-k windows of r terms of Z_n as bits, one per start s.
+def _windows(r: int, step: int, n: int) -> int:
+    """Every step-k window of r terms of Z_n, in one int.
 
-    Entry s is s, s+k, ..., s+(r-1)k mod n, label x being bit x: the
-    window starting at 0 shifted by s. Its terms are distinct iff r is at
-    most the cycle length n / gcd(k, n).
+    The window at s is s, s+k, ..., s+(r-1)k mod n, label x being bit x;
+    its terms are distinct iff r is at most the cycle length n / gcd(k, n).
+    It is the window at 0 rotated by s, so with the window at 0 in bits
+    0..n-1 and again in bits n..2n-1, as returned, the window at s is
+    ``_windows(r, step, n) >> n - s & (1 << n) - 1``.
     """
-    w = sum(1 << i * step % n for i in range(r))
-    full = (1 << n) - 1
-    return tuple((w << s | w >> n - s) & full for s in range(n))
+    w = 0
+    for i in range(r):
+        w |= 1 << i * step % n
+    return w << n | w
 
 
-def _iter_options(
-    vertices: Iterable[int], n: int
-) -> Iterator[ElementCertificate]:
-    """The certificate candidates of one element, lazily, in canonical order.
+def _iter_options(ws: Sequence[int], n: int) -> Iterator[ElementCertificate]:
+    """The certificate candidates of an element, lazily, in canonical order.
 
+    ``ws`` lists its labels W ascending, at least two, all in 0..n-1.
     Order: ascending step; within a step, single progressions (ascending
     start) before splits (ascending start pair). This is what
     ``arithmetic_orderings`` and ``split_orderings`` list, read off the
-    step's windows (``_windows``) instead: for r = |W| up to the cycle
-    length, s starts a single iff its window of r terms is W. For half =
-    r/2 up to the cycle length, (s, t) with s < t is a split iff the
-    half-windows at s and t lie in W and do not meet; their sizes add up to
-    r, so then they cover W. A caller that needs just the first option pays
-    for the steps up to it.
+    step's windows (``_windows``) instead: s starts a single iff its window
+    of r = |W| terms is W, and (s, t) with s < t a split iff the windows of
+    r/2 terms at s and t lie in W and do not meet, so that the one at t is
+    W minus the one at s (sizes up to the cycle length). A window's start
+    is its one member whose predecessor x - k lies outside it, unless it is
+    a whole cycle, which has none and starts at each member; so only those
+    starts are tried, and a step where W has two such members has no single
+    and one with three or more has no option. Each step costs O(r) plus
+    its options, so a caller that needs just the first option pays for the
+    steps up to it.
     """
-    ws = sorted(set(vertices))
     r = len(ws)
-    if r < 2:
-        raise ValueError("elements have at least two vertices")
-    mask = sum(1 << w for w in ws)
+    mask = sum(map((1).__lshift__, ws))
+    full = (1 << n) - 1
     half = 0 if r % 2 else r // 2
     for step in range(1, n // 2 + 1):
         cycle = n // gcd(step, n)
-        if r <= cycle:
+        firsts = mask & ~(mask << step | mask >> n - step)
+        count = firsts.bit_count()
+        if count < 2 and r <= cycle:
             singles = _windows(r, step, n)
-            for s in ws:
-                if singles[s] == mask:
+            for s in (firsts.bit_length() - 1,) if firsts else ws:
+                if singles >> n - s & full == mask:
                     yield SingleCertificate(Progression(s, step, r, n))
-        if 0 < half <= cycle:
+        if count < 3 and 0 < half <= cycle:
             halves = _windows(half, step, n)
-            inside = [s for s in ws if not halves[s] & ~mask]
-            for i, s in enumerate(inside):
-                for t in inside[i + 1 :]:
-                    if not halves[s] & halves[t]:
+            for s in ws:
+                w = halves >> n - s & full
+                if w & ~mask:
+                    continue
+                rest = mask ^ w  # the window at t, if s starts a split
+                first = rest & ~(rest << step | rest >> n - step)
+                for t in (first.bit_length() - 1,) if first else ws:
+                    if s < t and halves >> n - t & full == rest:
                         yield SplitCertificate(
                             Progression(s, step, half, n),
                             Progression(t, step, half, n),
@@ -262,7 +271,12 @@ def element_options(vertices: Iterable[int], n: int) -> tuple[ElementCertificate
     An empty result means the element has no arithmetic representation under
     the current labels. See ``_iter_options`` for the order.
     """
-    return tuple(_iter_options(vertices, n))
+    ws = sorted(set(vertices))
+    if len(ws) < 2:
+        raise ValueError("elements have at least two vertices")
+    if ws[0] < 0 or ws[-1] >= n:
+        raise ValueError(f"labels outside 0..{n - 1}")
+    return tuple(_iter_options(ws, n))
 
 
 @lru_cache(maxsize=256)
@@ -275,13 +289,13 @@ def _option_table(
     k-progression or, for an even size, two disjoint k-progressions of
     size / 2, for a step k in 1..n // 2. A k-progression of r distinct
     terms is a window of r consecutive terms of one cycle of x -> x + k,
-    for r up to the cycle length n / gcd(k, n) (see ``_windows``). So for
-    each step the sets are the windows of ``size`` terms through 0 and, for
-    a split, each window of size / 2 through 0 joined with each window of
-    size / 2 that does not meet it. A set that comes up more than once
-    (one window under several steps, or two touching halves, which form one
-    window) is kept once, with the centrals of every listing, so repeats
-    change nothing.
+    for r up to the cycle length n / gcd(k, n), and ``_windows`` holds the
+    one starting at each s. So for each step the sets are
+    the windows of ``size`` terms through 0 and, for a split, each window
+    of size / 2 through 0 joined with each window of size / 2 that does
+    not meet it. A set that comes up more than once (one window under
+    several steps, or two touching halves, which form one window) is kept
+    once, with the centrals of every listing, so repeats change nothing.
     Set i is bit i. Returns ``(every, contains, lacks, centrals)``:
     ``every`` has a bit per set, ``contains[y]`` the sets holding label y
     and ``lacks[y]`` the others, and for an odd size ``centrals[c]`` the
@@ -291,16 +305,18 @@ def _option_table(
     """
     found: dict[int, list[int]] = {}  # set -> its centrals
     half = 0 if size % 2 else size // 2
+    full = (1 << n) - 1
     for step in range(1, n // 2 + 1):
         cycle = n // gcd(step, n)
         if size <= cycle:  # the window with 0 as its term j
             singles = _windows(size, step, n)
             for j in range(size):
-                centrals = found.setdefault(singles[-j * step % n], [])
+                centrals = found.setdefault(singles >> n - (-j * step % n) & full, [])
                 if not half:
                     centrals.append((size // 2 - j) * step % n)
         if 0 < half <= cycle:
-            halves = _windows(half, step, n)
+            ww = _windows(half, step, n)
+            halves = [ww >> n - s & full for s in range(n)]  # the window at s
             for j in range(half):
                 first = halves[-j * step % n]
                 for w in halves:
@@ -416,7 +432,7 @@ def find_certificate(d: CliqueDecomposition) -> ArithmeticCertificate | None:
         if elem.order % 2 == 1:
             per_odd[i] = options = element_options(elem.vertices, d.n)
         else:
-            options = _iter_options(elem.vertices, d.n)
+            options = _iter_options(elem.vertices, d.n)  # ascending, in Z_n
         first = next(iter(options), None)
         if first is None:
             return None

@@ -139,9 +139,8 @@ def decomposition_to_quasicluster(
     """Edges = element sets per K_n vertex; hypergraph vertices = elements.
 
     Requires every K_n vertex to lie in at least two elements, which fails
-    only for the one-element decomposition {K_n}. Two K_n vertices lie in
-    exactly one element, the one vertex their edges share, so a valid
-    decomposition gives a quasicluster, and it is not validated again.
+    only for the one-element decomposition {K_n}. The quasicluster a valid
+    d gives is not validated again.
     """
     containing = d.vertex_elements()
     for v in range(d.n):
@@ -161,16 +160,17 @@ def quasicluster_to_decomposition(
 ) -> tuple[CliqueDecomposition, Correspondence]:
     """K_n vertices = edge indices; element of a hypergraph vertex = its edge set.
 
-    Two edges share exactly one vertex, whose element then holds both, and
-    each vertex lies in two or more edges, listed ascending, so a valid
-    quasicluster gives a decomposition, and it is not validated again.
+    ``h`` must be a quasicluster (see ``validate_quasicluster``); only a
+    vertex of degree one is checked for (ValidationError, DegreeOneVertex).
     """
     n = h.n
     containing = h.vertex_edges()
+    lonely = [v for v, idxs in containing.items() if len(idxs) < 2]
+    if lonely:
+        raise ValidationError([Violation("DegreeOneVertex", (v,)) for v in lonely])
     vertex_order = _sorted_ids(containing)
-    d = CliqueDecomposition(
-        n, tuple(Element(tuple(containing[u])) for u in vertex_order)
-    )
+    elements = tuple(Element(tuple(containing[u])) for u in vertex_order)
+    d = CliqueDecomposition(n, elements)
     corr = Correspondence(
         decomposition=d,
         quasicluster=h,

@@ -927,10 +927,16 @@ class TestOptionGenerator:
             for step in range(1, n // 2 + 1):
                 for r in range(1, n // gcd(step, n) + 1):
                     windows = arithmetic._windows(r, step, n)
-                    assert len(windows) == n
-                    for s, w in enumerate(windows):
+                    assert windows < 1 << 2 * n
+                    for s in range(n):
+                        w = windows >> n - s & (1 << n) - 1
                         terms = Progression(s, step, r, n).term_set
                         assert w == sum(1 << y for y in terms), (r, step, n, s)
+
+    def test_labels_outside_z_n_rejected(self):
+        for vertices in ((0, 8), (-1, 3), (2, 5, 9)):
+            with pytest.raises(ValueError, match="outside 0..7"):
+                element_options(vertices, 8)
 
 
 def options_left(n, size, placed, used, anchor):
