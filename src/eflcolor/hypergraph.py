@@ -29,6 +29,7 @@ from .model import (
     _meetings,
     _pair_faults,
     check_proper,
+    intersection_graph,
     validate_decomposition,
 )
 
@@ -136,17 +137,18 @@ def validate_quasicluster(raw_edges: Iterable[Iterable[HVertex]]) -> Quasicluste
 def decomposition_to_quasicluster(
     d: CliqueDecomposition,
 ) -> tuple[Quasicluster, Correspondence]:
-    """Edges = element sets per K_n vertex; hypergraph vertices = elements.
+    """Edges = element sets per K_n vertex, the vertex cliques of
+    ``intersection_graph``; hypergraph vertices = elements.
 
     Requires every K_n vertex to lie in at least two elements, which fails
     only for the one-element decomposition {K_n}. The quasicluster a valid
     d gives is not validated again.
     """
-    containing = d.vertex_elements()
-    for v in range(d.n):
-        if len(containing[v]) < 2:
+    edges = intersection_graph(d)
+    for v, members in enumerate(edges):
+        if len(members) < 2:
             raise VertexInOneElementError(v)
-    h = Hypergraph(tuple(tuple(members) for members in containing))
+    h = Hypergraph(edges)
     corr = Correspondence(
         decomposition=d,
         quasicluster=h,

@@ -13,7 +13,6 @@ must have pairwise distinct colors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -41,45 +40,6 @@ class CliqueDecomposition:
 
     n: int
     elements: tuple[Element, ...]
-
-    def vertex_elements(self) -> list[list[int]]:
-        """For each vertex, the indices of the elements containing it, ascending."""
-        containing: list[list[int]] = [[] for _ in range(self.n)]
-        for idx, elem in enumerate(self.elements):
-            for v in elem.vertices:
-                containing[v].append(idx)
-        return containing
-
-
-@dataclass(frozen=True)
-class ConflictGraph:
-    """Intersection graph of a decomposition, stored as its vertex cliques.
-
-    Nodes are element indices; i and j are adjacent iff their vertex sets
-    meet. ``cliques[v]`` lists the elements through K_n vertex v in
-    ascending order, and every edge of the graph lies in one of them. For a
-    valid decomposition two elements meet in a single vertex, so each edge
-    lies in exactly one clique.
-    """
-
-    node_count: int
-    cliques: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Each node's neighbors, ascending; built on first use.
-
-        ValueError if two elements share two vertices, which an exact edge
-        cover rules out.
-        """
-        neighbor_sets: list[set[int]] = [set() for _ in range(self.node_count)]
-        for members in self.cliques:
-            for i, j in combinations(members, 2):
-                if j in neighbor_sets[i]:
-                    raise ValueError(f"elements {i},{j} share two vertices")
-                neighbor_sets[i].add(j)
-                neighbor_sets[j].add(i)
-        return tuple(tuple(sorted(s)) for s in neighbor_sets)
 
 
 @dataclass(frozen=True)
@@ -181,9 +141,20 @@ def _pair_faults(
             b = row.find("1", b + 1)
 
 
-def intersection_graph(d: CliqueDecomposition) -> ConflictGraph:
-    """The conflict graph: one clique per K_n vertex, its elements."""
-    return ConflictGraph(len(d.elements), tuple(map(tuple, d.vertex_elements())))
+def intersection_graph(d: CliqueDecomposition) -> tuple[tuple[int, ...], ...]:
+    """The conflict graph as its vertex cliques: for each K_n vertex, the
+    indices of the elements through it, ascending.
+
+    Two elements are adjacent iff they share a vertex, so every edge of the
+    graph lies in one of these cliques; in exactly one for a valid
+    decomposition, whose elements meet in at most one vertex. Under the
+    quasicluster duality the cliques are the hyperedges.
+    """
+    containing: list[list[int]] = [[] for _ in range(d.n)]
+    for idx, elem in enumerate(d.elements):
+        for v in elem.vertices:
+            containing[v].append(idx)
+    return tuple(map(tuple, containing))
 
 
 def check_proper(d: CliqueDecomposition, coloring: Sequence[int]) -> Verdict:
@@ -197,7 +168,7 @@ def check_proper(d: CliqueDecomposition, coloring: Sequence[int]) -> Verdict:
             f"coloring has {len(coloring)} entries for {len(d.elements)} elements"
         )
     conflicts: list[tuple[int, int, int]] = []
-    for v, members in enumerate(intersection_graph(d).cliques):
+    for v, members in enumerate(intersection_graph(d)):
         by_color: dict[int, list[int]] = {}
         for i in members:
             by_color.setdefault(coloring[i], []).append(i)

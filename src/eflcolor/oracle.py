@@ -2,10 +2,10 @@
 and exhaustive enumeration of small decompositions.
 
 These are the independent checks behind the test suites: the exact colorer
-works on the conflict graph alone (so it serves the hypergraph view too),
-coloring it through its vertex cliques with one bitmask of used colors per
-clique, the labeling oracle sweeps all n! bijections, and the enumerator
-streams every clique partition of E(K_n) for small n.
+colors the conflict graph through its vertex cliques (``intersection_graph``)
+with one bitmask of used colors per clique, the labeling oracle sweeps all n!
+bijections, and the enumerator streams every clique partition of E(K_n) for
+small n.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .arithmetic import (
 from .errors import BudgetExceededError, TooLargeError
 from .model import (
     CliqueDecomposition,
-    ConflictGraph,
     Element,
     _meetings,
     check_proper,
@@ -37,6 +36,9 @@ ORACLE_LABELING_LIMIT = 8
 DEFAULT_COLORING_BUDGET = 5_000_000
 GREEDY_ROUNDS = 80
 
+# incidence (each element's K_n vertices) or cliques (each K_n vertex's elements)
+Rows = Sequence[Sequence[int]]
+
 
 @dataclass(frozen=True)
 class ExactResult:
@@ -45,19 +47,13 @@ class ExactResult:
     nodes_explored: int
 
 
-def _incidence(graph: ConflictGraph) -> tuple[list[list[int]], list[int]]:
-    """Each node's cliques (its element's K_n vertices) and its degree.
+def _degrees(incidence: Rows, cliques: Rows) -> list[int]:
+    """Each node's degree: the sizes of its cliques, less itself in each.
 
-    The degree sums len(clique) - 1 over the node's cliques, which is its
-    neighbor count when two elements meet in at most one vertex.
+    ``incidence[i]`` lists node i's cliques, its element's K_n vertices. The
+    degree is the neighbor count when two elements meet in at most one vertex.
     """
-    incidence: list[list[int]] = [[] for _ in range(graph.node_count)]
-    degree = [0] * graph.node_count
-    for x, members in enumerate(graph.cliques):
-        for i in members:
-            incidence[i].append(x)
-            degree[i] += len(members) - 1
-    return incidence, degree
+    return [sum(len(cliques[x]) for x in xs) - len(xs) for xs in incidence]
 
 
 def _greedy_on_order(
@@ -81,7 +77,7 @@ def _greedy_on_order(
     return colors
 
 
-def _iterated_greedy(graph: ConflictGraph, floor: int = 0) -> tuple[int, ...]:
+def _iterated_greedy(incidence: Rows, cliques: Rows, floor: int = 0) -> tuple[int, ...]:
     """Greedy re-coloring along permuted color classes; never gets worse.
 
     Re-running greedy with whole color classes kept contiguous can only keep
@@ -94,11 +90,10 @@ def _iterated_greedy(graph: ConflictGraph, floor: int = 0) -> tuple[int, ...]:
     ``floor`` a valid lower bound that changes nothing: the best coloring is
     replaced only by one with strictly fewer colors, and none exists.
     """
-    m = graph.node_count
-    incidence, degree = _incidence(graph)
-    cliques = len(graph.cliques)
+    m = len(incidence)
+    degree = _degrees(incidence, cliques)
     order = sorted(range(m), key=lambda v: (-degree[v], v))
-    colors = _greedy_on_order(incidence, cliques, order)
+    colors = _greedy_on_order(incidence, len(cliques), order)
     # greedy colors are 0..k-1 with none skipped, so k is the top color + 1
     best = colors
     best_k = k = max(colors) + 1
@@ -118,22 +113,23 @@ def _iterated_greedy(graph: ConflictGraph, floor: int = 0) -> tuple[int, ...]:
             rot = state % k
             classes = classes[rot:] + classes[:rot]
             classes.reverse()
-        colors = _greedy_on_order(incidence, cliques, [v for cl in classes for v in cl])
+        order = [v for cl in classes for v in cl]
+        colors = _greedy_on_order(incidence, len(cliques), order)
         k = max(colors) + 1
         if k < best_k:
             best, best_k = colors, k
     return tuple(best)
 
 
-def _greedy_clique(graph: ConflictGraph) -> list[int]:
+def _greedy_clique(incidence: Rows, cliques: Rows) -> list[int]:
     """A maximal clique grown greedily from the best seed vertex.
 
     Neighborhoods are int bitmasks, each the OR of the node's vertex cliques
     without the node itself. A step adds the candidate with the most
     neighbors among the candidates, the lowest index on ties.
     """
-    m = graph.node_count
-    neighbors, _ = _meetings(graph.cliques, m)
+    m = len(incidence)
+    neighbors, _ = _meetings(cliques, m)
     best: list[int] = []
     degree_order = sorted(range(m), key=lambda i: (-neighbors[i].bit_count(), i))
     for seed in degree_order[: min(m, 8)]:
@@ -157,7 +153,8 @@ def _greedy_clique(graph: ConflictGraph) -> list[int]:
 
 
 def _exact_color_graph(
-    graph: ConflictGraph,
+    incidence: Rows,
+    cliques: Rows,
     lower: int,
     upper_witness: Sequence[int],
     budget: int,
@@ -175,10 +172,10 @@ def _exact_color_graph(
     to: every target below the one it was refuting is refuted, and the
     witness bounds it from above.
     """
-    m = graph.node_count
+    m = len(incidence)
     upper = len(set(upper_witness))
-    incidence, degree = _incidence(graph)
-    used = [0] * len(graph.cliques)
+    degree = _degrees(incidence, cliques)
+    used = [0] * len(cliques)
     colors = [-1] * m  # -1 while uncolored, so max(colors) is the top color used
 
     def moves() -> list[tuple[int, int]]:
@@ -223,10 +220,11 @@ def _exact_color_graph(
     return upper, tuple(upper_witness), nodes
 
 
-def _lower_bound(graph: ConflictGraph, n: int) -> int:
-    """The larger of the clique and packing bounds of ``exact_chromatic_index``."""
-    packing_bound = -(-graph.node_count // (n // 2))
-    return max(1, len(_greedy_clique(graph)), packing_bound)
+def _lower_bound(incidence: Rows, cliques: Rows) -> int:
+    """The larger of the clique and packing bounds of ``exact_chromatic_index``;
+    K_n has one clique per vertex, so n is ``len(cliques)``."""
+    packing_bound = -(-len(incidence) // (len(cliques) // 2))
+    return max(1, len(_greedy_clique(incidence, cliques)), packing_bound)
 
 
 def exact_chromatic_index(
@@ -258,15 +256,17 @@ def exact_chromatic_index(
             raise ValueError(f"upper hint gives elements {i},{j} one color")
         renumber: dict[int, int] = {}
         upper_hint = tuple(renumber.setdefault(c, len(renumber)) for c in upper_hint)
-    graph = intersection_graph(d)
-    m = graph.node_count
-    if m == 0:
+    if not d.elements:
         return ExactResult(0, (), 0)
-    lower = _lower_bound(graph, d.n)
-    upper_witness = _iterated_greedy(graph, floor=lower)
+    incidence = [e.vertices for e in d.elements]
+    cliques = intersection_graph(d)
+    lower = _lower_bound(incidence, cliques)
+    upper_witness = _iterated_greedy(incidence, cliques, floor=lower)
     if upper_hint is not None and len(set(upper_hint)) < len(set(upper_witness)):
         upper_witness = upper_hint
-    chi, witness, nodes = _exact_color_graph(graph, lower, upper_witness, budget)
+    chi, witness, nodes = _exact_color_graph(
+        incidence, cliques, lower, upper_witness, budget
+    )
     return ExactResult(chi, witness, nodes)
 
 
@@ -302,6 +302,8 @@ def enumerate_decompositions(n: int) -> Iterator[CliqueDecomposition]:
     always covers the lexicographically smallest uncovered edge, so every
     partition corresponds to a unique choice sequence.
     """
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
     if n > ENUMERATION_LIMIT:
         raise TooLargeError(f"exhaustive enumeration refused for n={n} > {ENUMERATION_LIMIT}")
 

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eflcolor import (
-    CliqueDecomposition,
-    Element,
     ValidationError,
     check_proper,
+    decomposition_to_quasicluster,
     fixture,
     intersection_graph,
     near_pencil,
@@ -18,7 +17,6 @@ from eflcolor import (
     trivial_edges,
     validate_decomposition,
 )
-from eflcolor import model
 
 K9_TRIANGLES = [(0, 3, 6), (1, 4, 7), (5, 8, 2), (0, 2, 4), (4, 6, 8), (8, 1, 3), (3, 5, 7)]
 
@@ -83,35 +81,30 @@ class TestValidate:
         assert [e.vertices for e in d.elements] == [(1, 2), (0, 2), (0, 1)]
 
 
+def brute_force_family():
+    """The named fixtures, two families at n = 9, and small random instances."""
+    named = [fixture(name) for name in ("paper_k9", "fano_k7", "sts9_k9")]
+    named += [trivial_edges(9), near_pencil(9)]
+    return named + [random_decomposition(n, seed) for n in range(2, 13) for seed in range(5)]
+
+
 class TestIntersectionGraph:
     def test_triangle_of_edges(self):
         d = validate_decomposition(3, [{0, 1}, {0, 2}, {1, 2}])
-        g = intersection_graph(d)
-        assert g.cliques == ((0, 1), (0, 2), (1, 2))
-        assert g.neighbors == ((1, 2), (0, 2), (0, 1))
+        assert intersection_graph(d) == ((0, 1), (0, 2), (1, 2))
 
     def test_k4_plus_pendants_in_k5(self):
         d = validate_decomposition(
             5, [(0, 1, 2, 3), (0, 4), (1, 4), (2, 4), (3, 4)]
         )
-        g = intersection_graph(d)
-        assert set(g.neighbors[0]) == {1, 2, 3, 4}
-        # pendant edges all meet at vertex 4
-        assert g.cliques[4] == (1, 2, 3, 4)
-        for i in range(1, 5):
-            assert g.neighbors[i] == tuple(j for j in range(5) if j != i)
+        # the K4 meets each pendant edge once; pendant edges all meet at 4
+        assert intersection_graph(d) == ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2, 3, 4))
 
     def test_paper_k9_g0_meets_h0_at_0(self):
         d = fixture("paper_k9")
-        g = intersection_graph(d)
-        assert 3 in g.neighbors[0]  # G_0 = {0,3,6}, H_0 = {0,2,4}
-        assert [v for v, c in enumerate(g.cliques) if {0, 3} <= set(c)] == [0]
-
-    def test_two_shared_vertices_raise(self):
-        # built without validation: both elements cover the edge 0-1
-        d = CliqueDecomposition(3, (Element((0, 1, 2)), Element((0, 1))))
-        with pytest.raises(ValueError, match="elements 0,1 share two vertices"):
-            intersection_graph(d).neighbors
+        cliques = intersection_graph(d)
+        # G_0 = {0,3,6}, H_0 = {0,2,4}
+        assert [v for v, c in enumerate(cliques) if {0, 3} <= set(c)] == [0]
 
     def test_pairwise_intersections_at_most_one(self):
         for seed in range(10):
@@ -120,18 +113,18 @@ class TestIntersectionGraph:
             for a, b in combinations(sets, 2):
                 assert len(a & b) <= 1
 
-    def test_neighbors_match_brute_force(self):
-        named = [fixture(name) for name in ("paper_k9", "fano_k7", "sts9_k9")]
-        named += [trivial_edges(9), near_pencil(9)]
-        randoms = [random_decomposition(n, seed) for n in range(2, 13) for seed in range(5)]
-        for d in named + randoms:
-            sets = [e.vertex_set for e in d.elements]
-            g = intersection_graph(d)
-            assert g.node_count == len(sets)
-            assert g.neighbors == tuple(
-                tuple(j for j, b in enumerate(sets) if j != i and a & b)
-                for i, a in enumerate(sets)
+    def test_cliques_match_brute_force(self):
+        for d in brute_force_family():
+            assert intersection_graph(d) == tuple(
+                tuple(i for i, e in enumerate(d.elements) if v in e.vertex_set)
+                for v in range(d.n)
             )
+
+    def test_cliques_are_dual_hypergraph_edges(self):
+        for d in brute_force_family():
+            if len(d.elements) > 1:  # {K_n} has no dual quasicluster
+                h, _ = decomposition_to_quasicluster(d)
+                assert h.edges == intersection_graph(d)
 
     def test_element_size_sum_identity(self):
         for seed in range(10):
@@ -189,16 +182,3 @@ class TestCheckProper:
         expected = brute_conflicts(d, coloring)
         assert verdict.conflicts == tuple(expected)
         assert verdict.ok == (not expected)
-
-    def test_leaves_neighbors_unbuilt(self, monkeypatch):
-        built = []
-
-        def recording(d):
-            built.append(intersection_graph(d))
-            return built[-1]
-
-        monkeypatch.setattr(model, "intersection_graph", recording)
-        d = fixture("paper_k9")
-        assert not check_proper(d, [0] * len(d.elements)).ok
-        assert len(built) == 1
-        assert "neighbors" not in vars(built[0])

@@ -29,12 +29,25 @@ from eflcolor import (
 )
 from eflcolor.model import intersection_graph
 from eflcolor.oracle import (
+    _degrees,
     _greedy_clique,
     _greedy_on_order,
-    _incidence,
     _iterated_greedy,
     _lower_bound,
 )
+
+
+def graph(d):
+    """What the exact colorer's helpers take: each element's K_n vertices,
+    and the vertex cliques of the conflict graph."""
+    return [e.vertices for e in d.elements], intersection_graph(d)
+
+
+def brute_neighbors(d):
+    """Each element's neighbors, ascending, from pairwise vertex-set
+    intersections."""
+    sets = [e.vertex_set for e in d.elements]
+    return [[j for j, b in enumerate(sets) if j != i and a & b] for i, a in enumerate(sets)]
 
 
 def brute_chi(d):
@@ -234,7 +247,7 @@ class TestUpperHint:
     @pytest.mark.parametrize("d", fixtures_and_random(20, 2))
     def test_hint_not_better_changes_nothing(self, d):
         unhinted = exact_chromatic_index(d)
-        greedy = _iterated_greedy(intersection_graph(d))
+        greedy = _iterated_greedy(*graph(d))
         worse = tuple(range(len(d.elements)))  # one color per element
         for hint in (greedy, [c + 7 for c in greedy], unhinted.witness, worse):
             assert exact_chromatic_index(d, upper_hint=hint) == unhinted
@@ -253,27 +266,27 @@ class TestGreedyFloor:
 
     @pytest.mark.parametrize("d", fixtures_and_random(25, 8))
     def test_floor_keeps_witness(self, d):
-        graph = intersection_graph(d)
-        lower = _lower_bound(graph, d.n)
-        assert _iterated_greedy(graph, floor=lower) == _iterated_greedy(graph)
+        incidence, cliques = graph(d)
+        lower = _lower_bound(incidence, cliques)
+        floored = _iterated_greedy(incidence, cliques, floor=lower)
+        assert floored == _iterated_greedy(incidence, cliques)
 
 
 class TestGreedy:
     def test_single_element(self):
         d = validate_decomposition(3, [(0, 1, 2)])
-        assert _iterated_greedy(intersection_graph(d)) == (0,)
+        assert _iterated_greedy(*graph(d)) == (0,)
 
     def test_edge_triangle(self):
         d = trivial_edges(3)
-        coloring = _iterated_greedy(intersection_graph(d))
+        coloring = _iterated_greedy(*graph(d))
         assert len(set(coloring)) == 3
 
     def test_always_proper(self):
         for n in range(3, 10):
             for seed in range(15):
                 d = random_decomposition(n, seed)
-                graph = intersection_graph(d)
-                assert check_proper(d, _iterated_greedy(graph)).ok
+                assert check_proper(d, _iterated_greedy(*graph(d))).ok
 
 
 def neighbor_set_greedy(neighbors, order):
@@ -298,19 +311,15 @@ class TestGreedyOnMasks:
         for _ in range(50):
             n = rng.randint(3, 20)
             d = random_decomposition(n, rng.randrange(1000))
-            graph = intersection_graph(d)
-            incidence, _ = _incidence(graph)
-            order = list(range(graph.node_count))
+            incidence, cliques = graph(d)
+            order = list(range(len(incidence)))
             rng.shuffle(order)
-            expected = neighbor_set_greedy(graph.neighbors, order)
-            assert _greedy_on_order(incidence, len(graph.cliques), order) == expected
+            expected = neighbor_set_greedy(brute_neighbors(d), order)
+            assert _greedy_on_order(incidence, len(cliques), order) == expected
 
     @pytest.mark.parametrize("d", fixtures_and_random(12, 3))
     def test_degree_is_neighbor_count(self, d):
-        graph = intersection_graph(d)
-        incidence, degree = _incidence(graph)
-        assert degree == [len(ns) for ns in graph.neighbors]
-        assert incidence == [list(e.vertices) for e in d.elements]
+        assert _degrees(*graph(d)) == [len(ns) for ns in brute_neighbors(d)]
 
 
 def neighbor_set_clique(neighbors):
@@ -342,8 +351,7 @@ class TestGreedyCliqueOnMasks:
         + [pytest.param(near_pencil(n), id=f"pencil_{n}") for n in (3, 12, 30)],
     )
     def test_matches_neighbor_set_clique(self, d):
-        graph = intersection_graph(d)
-        assert _greedy_clique(graph) == neighbor_set_clique(graph.neighbors)
+        assert _greedy_clique(*graph(d)) == neighbor_set_clique(brute_neighbors(d))
 
 
 def partition_cover_count(n: int) -> int:
@@ -410,6 +418,11 @@ class TestEnumeration:
     def test_too_large_rejected(self):
         with pytest.raises(TooLargeError):
             next(enumerate_decompositions(7))
+
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_below_two_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            next(enumerate_decompositions(n))
 
 
 class TestLabelingOracle:

@@ -18,6 +18,7 @@ from eflcolor import (
     Hypergraph,
     ValidationError,
     fixture,
+    intersection_graph,
     near_pencil,
     random_decomposition,
     trivial_edges,
@@ -195,7 +196,7 @@ def quasicluster_mutants(d, rng):
     Edges dropped, made singletons, merged or given a repeated vertex;
     a fresh edge; string vertex names; and a few of these at once.
     """
-    base = [list(members) for members in d.vertex_elements()]
+    base = [list(members) for members in intersection_graph(d)]
 
     def drop(edges):
         del edges[rng.randrange(len(edges))]
