@@ -188,14 +188,7 @@ def _order(text: str) -> int:
 
 def _read(path: str) -> str:
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # split as the parsers do; "\0" stands in for the bad byte
-        lines = (raw[: exc.start].decode("utf-8") + "\0").splitlines()
-        bad = f"byte 0x{raw[exc.start]:02x} is not valid UTF-8"
-        raise ParseError(len(lines), len(lines[-1]), bad)
+        return files.decode(fh.read())
 
 
 def _output(text_out: str, out: str | None) -> list[str]:

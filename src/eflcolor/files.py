@@ -46,8 +46,28 @@ class ColoringDoc:
     colors_used: int
 
 
+def _lines(text: str) -> list[str]:
+    """``text`` cut at "\\r\\n", "\\r" and "\\n", as universal newlines
+    read it. ``str.splitlines`` also cuts at "\\v", "\\f", "\\x1c" to
+    "\\x1e", "\\x85", "\\u2028" and "\\u2029", which would end a comment
+    early and parse the rest of its line."""
+    return re.split(r"\r\n?|\n", text)
+
+
+def decode(raw: bytes) -> str:
+    """A file's bytes as UTF-8 text; a byte that is not UTF-8 raises a
+    ParseError at its line and column."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # "\0" stands in for the bad byte
+        lines = _lines(raw[: exc.start].decode("utf-8") + "\0")
+        bad = f"byte 0x{raw[exc.start]:02x} is not valid UTF-8"
+        raise ParseError(len(lines), len(lines[-1]), bad)
+
+
 def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
             yield lineno, stripped, raw

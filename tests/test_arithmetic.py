@@ -462,7 +462,7 @@ PINNED_SEARCHES = {
         "si1:4 si1:0 sp1:1,4 sp1:2,4 si1:3 sp1:1,5 sp1:1,6 sp1:1,7 sp1:1,8"
         " sp1:1,9 sp1:1,10 sp1:2,5 sp1:3,5 sp1:2,6 sp1:2,7 sp1:2,8 sp1:2,9"
         " sp1:2,10 sp1:3,6 sp1:3,7 sp1:3,8 sp1:3,9 sp1:3,10",
-        None,
+        11,
     ),
 }
 
@@ -605,24 +605,51 @@ RECORDED_SEARCHES = {
     (13, 11): ('24035a86b179c', 'f4fe10ed885a'),
 }
 
+# The search's node count on each RECORDED_SEARCHES case where it is not n
+# (a search that never backs up tries one label per depth, n nodes); the
+# cases recorded as None end in a proof that no labeling exists.
+RECORDED_NODES = {
+    (6, 2): 40, (6, 8): 12, (7, 7): 9, (7, 14): 10, (8, 4): 37, (8, 7): 248,
+    (8, 8): 37, (8, 11): 37, (8, 12): 102, (8, 14): 284, (9, 2): 63,
+    (9, 3): 131, (9, 4): 131, (9, 5): 62, (9, 8): 131, (9, 14): 12,
+    (10, 1): 286, (10, 4): 286, (10, 5): 64, (10, 6): 48, (10, 8): 501,
+    (10, 10): 63, (11, 1): 485, (11, 4): 1645, (11, 13): 1083, (12, 1): 470,
+    (13, 1): 219, (13, 4): 259, (13, 8): 259,
+}
+
+
+@pytest.fixture
+def search_nodes(monkeypatch):
+    """The node count of each labeling search the test runs to its end."""
+    counts = []
+    backtrack = arithmetic._backtrack
+
+    def counted(*args):
+        found, nodes = backtrack(*args)
+        counts.append(nodes)
+        return found, nodes
+
+    monkeypatch.setattr(arithmetic, "_backtrack", counted)
+    return counts
+
 
 class TestSearchParity:
     """The indexed, matched search returns what the plain search returned."""
 
     @pytest.mark.parametrize("case", sorted(PINNED_SEARCHES))
-    def test_pinned_labeling_and_certificate(self, case):
+    def test_pinned_labeling_and_certificate(self, case, search_nodes):
         n, seed = case
         labels, signature, nodes = PINNED_SEARCHES[case]
         abstract = permuted_random(n, seed)
         labeling, _, cert = search_labeling(n, abstract, budget=200_000)
+        assert search_nodes == [nodes]
         mapping = labeling.mapping
         assert [mapping[f"v{v}"] for v in range(n)] == labels
         assert " ".join(entry_signature(e) for e in cert.entries) == signature
         assert check_certificate(apply_labeling(n, abstract, labeling), cert)
-        if nodes is not None:
-            assert search_labeling(n, abstract, budget=nodes) is not None
-            with pytest.raises(BudgetExceededError):
-                search_labeling(n, abstract, budget=nodes - 1)
+        assert search_labeling(n, abstract, budget=nodes) is not None
+        with pytest.raises(BudgetExceededError):
+            search_labeling(n, abstract, budget=nodes - 1)
 
     def test_no_labeling_proof_and_budget_out(self):
         abstract = permuted_random(10, 1)
@@ -653,10 +680,11 @@ class TestSearchParity:
         assert search_labeling(13, abstract, budget=10_000) is not None
 
     @pytest.mark.parametrize("case", sorted(RECORDED_SEARCHES))
-    def test_recorded_labeling(self, case):
+    def test_recorded_labeling(self, case, search_nodes):
         n, seed = case
         abstract = permuted_random(n, seed)
         found = search_labeling(n, abstract)
+        assert search_nodes == [RECORDED_NODES.get(case, n)]
         if RECORDED_SEARCHES[case] is None:
             assert found is None
             return
@@ -939,16 +967,15 @@ class TestOptionGenerator:
                 element_options(vertices, 8)
 
 
-def options_left(n, size, placed, used, anchor):
+def options_left(n, size, placed, used):
     """What the search's forward check keeps of an element of ``size``
-    vertices whose labels are ``placed`` (``anchor`` among them) when the
-    labels ``used`` are taken: the option sets left, as bits of
-    ``_option_table``, and their centrals."""
-    every, contains, lacks, centrals = arithmetic._option_table(size, n)
-    alive = every
+    vertices whose labels are ``placed`` when the labels ``used`` are taken:
+    the option sets left, as bits of ``_option_table``, and their centrals."""
+    contains, lacks, centrals = arithmetic._option_table(size, n)
+    alive = contains[0] | lacks[0]
     for y in used:
-        alive &= (contains if y in placed else lacks)[y - anchor]
-    return alive, {(c + anchor) % n for c, sets in enumerate(centrals) if alive & sets}
+        alive &= (contains if y in placed else lacks)[y]
+    return alive, {c for c, sets in enumerate(centrals) if alive & sets}
 
 
 def option_centrals(vertices, n):
@@ -959,20 +986,21 @@ class TestForwardCheck:
     """The search's check keeps an element alive exactly when it can still be
     completed to a set with ``element_options``, with those sets' centrals."""
 
-    def test_table_is_every_option_set_through_zero(self):
+    def test_table_is_every_option_set(self):
         for n in range(3, 13):
             for size in range(3, n + 1):
-                every, contains, lacks, centrals = arithmetic._option_table(size, n)
+                contains, lacks, centrals = arithmetic._option_table(size, n)
+                every = contains[0] | lacks[0]
                 assert every & (every + 1) == 0  # one bit per set, 0 up
                 sets = [
                     frozenset(y for y in range(n) if contains[y] >> i & 1)
                     for i in range(every.bit_length())
                 ]
                 expected = {}
-                for rest in combinations(range(1, n), size - 1):
-                    options = element_options((0, *rest), n)
+                for vs in combinations(range(n), size):
+                    options = element_options(vs, n)
                     if options:
-                        expected[frozenset((0, *rest))] = options
+                        expected[frozenset(vs)] = options
                 assert len(set(sets)) == len(sets), (n, size)
                 assert set(sets) == set(expected), (n, size)
                 if size % 2:
@@ -988,10 +1016,9 @@ class TestForwardCheck:
         for n in range(3, 12):
             for size in range(3, min(n, 6) + 1):
                 for vs in combinations(range(n), size):
-                    for anchor in (vs[0], vs[-1]):
-                        alive, centrals = options_left(n, size, vs, vs, anchor)
-                        assert bool(alive) == bool(element_options(vs, n)), (n, vs)
-                        assert centrals == option_centrals(vs, n), (n, vs)
+                    alive, centrals = options_left(n, size, vs, vs)
+                    assert bool(alive) == bool(element_options(vs, n)), (n, vs)
+                    assert centrals == option_centrals(vs, n), (n, vs)
                     checked += 1
         assert checked > 3000
 
@@ -1003,7 +1030,7 @@ class TestForwardCheck:
                 if len(vs) < 3:
                     continue
                 vs = sorted(vs)
-                alive, centrals = options_left(n, len(vs), vs, vs, rng.choice(vs))
+                alive, centrals = options_left(n, len(vs), vs, vs)
                 assert bool(alive) == bool(element_options(vs, n)), (n, vs)
                 assert centrals == option_centrals(vs, n), (n, vs)
 
@@ -1015,14 +1042,13 @@ class TestForwardCheck:
         labels = data.draw(st.permutations(range(n)), label="labels")
         placed = labels[: data.draw(st.integers(1, size), label="placed")]
         used = labels[: data.draw(st.integers(len(placed), n), label="used")]
-        anchor = data.draw(st.sampled_from(placed), label="anchor")
         free = sorted(set(range(n)) - set(used))
         completions = [
             sorted(placed + list(rest))
             for rest in combinations(free, size - len(placed))
             if element_options(placed + list(rest), n)
         ]
-        alive, centrals = options_left(n, size, set(placed), used, anchor)
+        alive, centrals = options_left(n, size, set(placed), used)
         assert bool(alive) == bool(completions)
         assert centrals == set().union(*(option_centrals(o, n) for o in completions))
 

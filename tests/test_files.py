@@ -14,6 +14,7 @@ from eflcolor import (
 from eflcolor.fixtures import complete_with_pairs
 from eflcolor.files import (
     MAX_ORDER,
+    decode,
     parse_coloring,
     parse_hypergraph,
     parse_instance,
@@ -188,6 +189,59 @@ def test_auto_edges_takes_no_arguments():
         parse_instance("n 3\n  auto-edges please ignore me\n")
     assert (exc.value.line, exc.value.column) == (2, 14)
     assert str(exc.value).endswith("auto-edges takes no arguments")
+
+
+TRIANGLE = "edges 3\nedge A : a b\nedge B : a c\nedge C : b c\n"  # K_3's dual
+
+# what str.splitlines cuts at besides "\r\n", "\r" and "\n"
+OTHER_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineBreaks:
+    """Lines end at "\\r\\n", "\\r" or "\\n" only, as universal newlines
+    read them, so a comment runs on to one of those."""
+
+    @pytest.mark.parametrize(
+        "mark", OTHER_BREAKS, ids=["VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"]
+    )
+    def test_comment_runs_past_other_breaks(self, mark):
+        # the instance's one element is commented out, so K_3 is uncovered
+        with pytest.raises(ValidationError) as exc:
+            parse_instance(f"n 3\n# a{mark}element 0 1 2\n")
+        assert {v.code for v in exc.value.violations} == {"EdgeUncovered"}
+        h = parse_hypergraph(f"{TRIANGLE}# x{mark}edge D : p q\n")
+        assert (h.n, len(h.edges)) == (3, 3)
+        doc = parse_coloring(f"colors-used 1\ncolor 0 0\n# {mark} color 0 0\n")
+        assert doc.assignment == {0: 0}
+
+    def test_position_counts_only_real_line_ends(self):
+        with pytest.raises(ParseError) as exc:
+            parse_instance("n 3\n# \u2028 \f\nelement 0 1 x\n")
+        assert (exc.value.line, exc.value.column) == (3, 13)
+
+    @pytest.mark.parametrize("end", ["\r", "\r\n", "\n"], ids=["CR", "CRLF", "LF"])
+    def test_every_format_reads_each_line_end(self, end):
+        d = parse_instance(f"n 3{end}# c{end}element 0 1 2{end}")
+        assert [e.vertices for e in d.elements] == [(0, 1, 2)]
+        h = parse_hypergraph(TRIANGLE.replace("\n", end))
+        assert (h.n, len(h.edges)) == (3, 3)
+        doc = parse_coloring(f"colors-used 2{end}color 0 0{end}color 1 1")
+        assert doc.assignment == {0: 0, 1: 1}
+
+    @pytest.mark.parametrize(
+        "raw, line",
+        [
+            (b"n 3\n# \xe2\x80\xa8\nelement 0 1 \xff\n", 3),  # U+2028
+            (b"n 3\r# c\relement 0 1 \xff\r", 3),
+            (b"n 3\r\nelement 0 1 \xff\r\n", 2),
+        ],
+        ids=["LS", "CR", "CRLF"],
+    )
+    def test_bad_utf8_byte_position(self, raw, line):
+        with pytest.raises(ParseError) as exc:
+            decode(raw)
+        assert (exc.value.line, exc.value.column) == (line, 13)
+        assert "byte 0xff is not valid UTF-8" in str(exc.value)
 
 
 class TestHypergraphFormat:
