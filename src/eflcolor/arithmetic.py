@@ -33,9 +33,6 @@ VertexId = Hashable
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
-# _DIGITS[j] spells a byte as b"1" if its bit j is set, else as b"0"
-_DIGITS = [bytes(b"01"[b >> j & 1] for b in range(256)) for j in range(8)]
-
 
 @dataclass(frozen=True)
 class Progression:
@@ -285,53 +282,54 @@ def element_options(vertices: Iterable[int], n: int) -> tuple[ElementCertificate
 @lru_cache(maxsize=256)
 def _option_table(
     size: int, n: int
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """The option sets of ``size`` labels of Z_n, as bits.
+) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The option sets of ``size`` labels of Z_n that hold label 0, as bits.
 
     An option set is a label set with ``element_options``: one
     k-progression or, for an even size, two disjoint k-progressions of
     size / 2, for a step k in 1..n // 2. A k-progression of r distinct
     terms is a window of r consecutive terms of one cycle of x -> x + k,
     for r up to the cycle length n / gcd(k, n), and ``_windows`` holds the
-    one starting at each s. So for each step the sets are the windows of
-    ``size`` terms and, for a split, the unions of two windows of size / 2
-    that do not meet. A set that comes up more than once (one window under
-    several steps or starts, or two touching halves, which form one window)
-    is kept once, with the centrals of every listing, so repeats change
-    nothing. Set i is bit i. Returns ``(contains, lacks, centrals)``:
-    ``contains[y]`` has the sets holding label y and ``lacks[y]`` the
-    others, and for an odd size ``centrals[c]`` the sets with a single
-    progression centred on c (empty for an even size).
+    one starting at each s. So for each step the sets are
+    the windows of ``size`` terms through 0 and, for a split, each window
+    of size / 2 through 0 joined with each window of size / 2 that does
+    not meet it. A set that comes up more than once (one window under
+    several steps, or two touching halves, which form one window) is kept
+    once, with the centrals of every listing, so repeats change nothing.
+    Set i is bit i. Returns ``(every, contains, lacks, centrals)``:
+    ``every`` has a bit per set, ``contains[y]`` the sets holding label y
+    and ``lacks[y]`` the others, and for an odd size ``centrals[c]`` the
+    sets with a single progression centred on c (empty for an even size).
+    The sets holding label x are these shifted by x, so ``contains[y - x]``
+    and ``centrals[c - x]`` answer for them.
     """
     found: dict[int, list[int]] = {}  # set -> its centrals
     half = 0 if size % 2 else size // 2
     full = (1 << n) - 1
     for step in range(1, n // 2 + 1):
         cycle = n // gcd(step, n)
-        if size <= cycle:
+        if size <= cycle:  # the window with 0 as its term j
             singles = _windows(size, step, n)
-            for s in range(n):
-                centrals = found.setdefault(singles >> n - s & full, [])
+            for j in range(size):
+                centrals = found.setdefault(singles >> n - (-j * step % n) & full, [])
                 if not half:
-                    centrals.append((s + size // 2 * step) % n)
+                    centrals.append((size // 2 - j) * step % n)
         if 0 < half <= cycle:
             ww = _windows(half, step, n)
             halves = [ww >> n - s & full for s in range(n)]  # the window at s
-            for s, first in enumerate(halves):
-                for w in halves[s + 1 :]:
+            for j in range(half):
+                first = halves[-j * step % n]
+                for w in halves:
                     if not first & w:
                         found.setdefault(first | w, [])
+    rows = [format(mask, f"0{n}b") for mask in found]  # label n - 1 first
+    contains = tuple(int("".join(reversed(col)), 2) for col in zip(*rows))[::-1]
+    every = (1 << len(rows)) - 1
     centrals = [0] * n if not half else []
     for i, cs in enumerate(found.values()):
         for c in cs:
             centrals[c] |= 1 << i
-    # transposed in C: each set as b bytes, the last set first; bit x & 7 of
-    # byte x >> 3 of each, read as "1" or "0", spells contains[x] in binary
-    b = n + 7 >> 3
-    packed = b"".join(labels.to_bytes(b, "little") for labels in reversed(found))
-    contains = [int(packed[x >> 3 :: b].translate(_DIGITS[x & 7]), 2) for x in range(n)]
-    every = (1 << len(found)) - 1
-    return tuple(contains), tuple(every ^ c for c in contains), tuple(centrals)
+    return every, contains, tuple(every ^ c for c in contains), tuple(centrals)
 
 
 def _augment(
@@ -557,9 +555,9 @@ def search_labeling(
     hold a label and are not yet complete. An element left with no option
     cuts the branch. A complete element is the case O = P, so a complete set
     without options is cut as soon as it completes. Each element's options
-    are a bitmask over all the option sets of its size, built when its
-    first label is placed; the groups narrowed at each depth are fixed by
-    the variable order.
+    are a bitmask over the sets of its size that hold the label placed
+    first on it (its anchor), built when that label is placed; the groups
+    narrowed at each depth are fixed by the variable order.
 
     The centrals test keeps one ``_augment`` matching of the odd elements
     that hold a label to distinct centrals, each element's candidates being
@@ -607,36 +605,39 @@ def search_labeling(
     # the vertex: keep the options with it; elsewhere, still open: drop them).
     joins: list[list[int]] = [[] for _ in range(n)]
     narrow: list[list[tuple]] = [[] for _ in range(n)]
-    tables = []  # per element: (contains, lacks, centrals, memo)
+    tables = []  # per element: (every, lacks, centrals, memo)
     memos: dict[int, dict[int, int]] = {}  # one per size, see domain
     for elem in indexed:
         if len(elem) < 3:
             continue
         s = len(tables)
-        contains, lacks, centrals = _option_table(len(elem), n)
-        tables.append((contains, lacks, centrals, memos.setdefault(len(elem), {})))
+        every, contains, lacks, centrals = _option_table(len(elem), n)
+        tables.append((every, lacks, centrals, memos.setdefault(len(elem), {})))
         depths = sorted(position[v] for v in elem)
         joins[depths[0]].append(s)
         for k in range(depths[0] + 1, depths[-1] + 1):
             narrow[k].append((s, contains if k in depths else lacks, centrals))
 
     labels: list[int] = []  # the label placed at each depth so far
+    anchor = [0] * len(tables)  # each element's first label
     alive_at = [[0] * len(tables)]  # its options left, one list per depth
     holder: dict[int, int] = {}  # central -> the odd element matched to it
     held = [-1] * len(tables)  # odd element -> its central, -1 if unmatched
+    full = (1 << n) - 1
 
     def domain(s: int) -> int:
-        # the centrals of element s's options left; they depend on those
-        # options alone, and the search meets the same options again and
-        # again, so each size keeps them
+        # the centrals of element s's options left; relative to the anchor
+        # they depend on those options alone, and the search meets the same
+        # options again and again, so each size keeps them
         _, _, centrals, memo = tables[s]
         alive = alive_at[-1][s]
-        mask = memo.get(alive)
-        if mask is None:
-            mask = memo[alive] = sum(
+        relative = memo.get(alive)
+        if relative is None:
+            relative = memo[alive] = sum(
                 1 << c for c, sets in enumerate(centrals) if alive & sets
             )
-        return mask
+        x = anchor[s]
+        return (relative << x | relative >> n - x) & full
 
     def undo(level: int) -> None:
         # the options narrowed at this level come back, and the odd elements
@@ -661,20 +662,20 @@ def search_labeling(
         # False when an element has no option or the centrals do not match
         moved = []  # odd elements to (re)match
         for s, sets, centrals in narrow[depth]:
-            left = alive[s] & sets[lab]
+            left = alive[s] & sets[lab - anchor[s]]
             if not left:
                 return False
             alive[s] = left
-            if centrals and not left & centrals[held[s]]:
+            if centrals and not left & centrals[held[s] - anchor[s]]:
                 moved.append(s)
         for s in joins[depth]:
-            contains, lacks, centrals, _ = tables[s]
-            left = contains[lab]
+            every, lacks, centrals, _ = tables[s]
             for y in labels:
-                left &= lacks[y]
-            if not left:
+                every &= lacks[y - lab]
+            if not every:
                 return False
-            alive[s] = left
+            anchor[s] = lab
+            alive[s] = every
             if centrals:
                 moved.append(s)
         for s in moved:

@@ -967,15 +967,16 @@ class TestOptionGenerator:
                 element_options(vertices, 8)
 
 
-def options_left(n, size, placed, used):
+def options_left(n, size, placed, used, anchor):
     """What the search's forward check keeps of an element of ``size``
-    vertices whose labels are ``placed`` when the labels ``used`` are taken:
-    the option sets left, as bits of ``_option_table``, and their centrals."""
-    contains, lacks, centrals = arithmetic._option_table(size, n)
-    alive = contains[0] | lacks[0]
+    vertices whose labels are ``placed`` (``anchor`` among them) when the
+    labels ``used`` are taken: the option sets left, as bits of
+    ``_option_table``, and their centrals."""
+    every, contains, lacks, centrals = arithmetic._option_table(size, n)
+    alive = every
     for y in used:
-        alive &= (contains if y in placed else lacks)[y]
-    return alive, {c for c, sets in enumerate(centrals) if alive & sets}
+        alive &= (contains if y in placed else lacks)[y - anchor]
+    return alive, {(c + anchor) % n for c, sets in enumerate(centrals) if alive & sets}
 
 
 def option_centrals(vertices, n):
@@ -986,21 +987,20 @@ class TestForwardCheck:
     """The search's check keeps an element alive exactly when it can still be
     completed to a set with ``element_options``, with those sets' centrals."""
 
-    def test_table_is_every_option_set(self):
+    def test_table_is_every_option_set_through_zero(self):
         for n in range(3, 13):
             for size in range(3, n + 1):
-                contains, lacks, centrals = arithmetic._option_table(size, n)
-                every = contains[0] | lacks[0]
+                every, contains, lacks, centrals = arithmetic._option_table(size, n)
                 assert every & (every + 1) == 0  # one bit per set, 0 up
                 sets = [
                     frozenset(y for y in range(n) if contains[y] >> i & 1)
                     for i in range(every.bit_length())
                 ]
                 expected = {}
-                for vs in combinations(range(n), size):
-                    options = element_options(vs, n)
+                for rest in combinations(range(1, n), size - 1):
+                    options = element_options((0, *rest), n)
                     if options:
-                        expected[frozenset(vs)] = options
+                        expected[frozenset((0, *rest))] = options
                 assert len(set(sets)) == len(sets), (n, size)
                 assert set(sets) == set(expected), (n, size)
                 if size % 2:
@@ -1016,9 +1016,10 @@ class TestForwardCheck:
         for n in range(3, 12):
             for size in range(3, min(n, 6) + 1):
                 for vs in combinations(range(n), size):
-                    alive, centrals = options_left(n, size, vs, vs)
-                    assert bool(alive) == bool(element_options(vs, n)), (n, vs)
-                    assert centrals == option_centrals(vs, n), (n, vs)
+                    for anchor in (vs[0], vs[-1]):
+                        alive, centrals = options_left(n, size, vs, vs, anchor)
+                        assert bool(alive) == bool(element_options(vs, n)), (n, vs)
+                        assert centrals == option_centrals(vs, n), (n, vs)
                     checked += 1
         assert checked > 3000
 
@@ -1030,7 +1031,7 @@ class TestForwardCheck:
                 if len(vs) < 3:
                     continue
                 vs = sorted(vs)
-                alive, centrals = options_left(n, len(vs), vs, vs)
+                alive, centrals = options_left(n, len(vs), vs, vs, rng.choice(vs))
                 assert bool(alive) == bool(element_options(vs, n)), (n, vs)
                 assert centrals == option_centrals(vs, n), (n, vs)
 
@@ -1042,13 +1043,14 @@ class TestForwardCheck:
         labels = data.draw(st.permutations(range(n)), label="labels")
         placed = labels[: data.draw(st.integers(1, size), label="placed")]
         used = labels[: data.draw(st.integers(len(placed), n), label="used")]
+        anchor = data.draw(st.sampled_from(placed), label="anchor")
         free = sorted(set(range(n)) - set(used))
         completions = [
             sorted(placed + list(rest))
             for rest in combinations(free, size - len(placed))
             if element_options(placed + list(rest), n)
         ]
-        alive, centrals = options_left(n, size, set(placed), used)
+        alive, centrals = options_left(n, size, set(placed), used, anchor)
         assert bool(alive) == bool(completions)
         assert centrals == set().union(*(option_centrals(o, n) for o in completions))
 

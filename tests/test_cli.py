@@ -178,24 +178,8 @@ class TestColor:
         assert "line 2, column 13: byte 0xff is not valid UTF-8" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_lines_end_only_at_cr_and_lf(self, tmp_path):
-        # each file hides a line in a comment behind a break that
-        # str.splitlines would cut at
-        inst = tmp_path / "inst.txt"
-        inst.write_text("n 3\n# a\x85element 0 1 2\n", encoding="utf-8")
-        proc = run_cli("validate", str(inst), expect=1)
-        assert "EdgeUncovered" in proc.stdout
-        hyper = tmp_path / "hyper.txt"
-        hyper.write_text(
-            "edges 3\nedge A : a b\nedge B : a c\nedge C : b c\n# x\fedge D : p q\n",
-            encoding="utf-8",
-        )
-        proc = run_cli("validate", "--hypergraph", str(hyper))
-        assert proc.stdout == "valid hypergraph edges 3 vertices 3\n"
-        inst.write_text("n 3\nelement 0 1 2\n", encoding="utf-8")
-        col = tmp_path / "col.txt"
-        col.write_text("colors-used 1\ncolor 0 0\n# \u2029 color 0 0\n", encoding="utf-8")
-        run_cli("verify", str(inst), str(col))
+    def test_bad_byte_line_counts_only_cr_and_lf(self, tmp_path):
+        # U+2028 is a line break to str.splitlines, not to the parsers
         bad = tmp_path / "bad.txt"
         bad.write_bytes("n 3\n# \u2028\nelement 0 1 ".encode() + b"\xff\n")
         proc = run_cli("validate", str(bad), expect=2)
