@@ -51,7 +51,7 @@ def _lines(text: str) -> list[str]:
     read it. ``str.splitlines`` also cuts at "\\v", "\\f", "\\x1c" to
     "\\x1e", "\\x85", "\\u2028" and "\\u2029", which would end a comment
     early and parse the rest of its line."""
-    return re.split(r"\r\n?|\n", text)
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def decode(raw: bytes) -> str:
