@@ -26,7 +26,6 @@ from .errors import BudgetExceededError, TooLargeError
 from .model import (
     CliqueDecomposition,
     Element,
-    _meetings,
     check_proper,
     intersection_graph,
 )
@@ -88,7 +87,9 @@ def _iterated_greedy(incidence: Rows, cliques: Rows, floor: int = 0) -> tuple[in
 
     The rounds stop early once the best coloring uses ``floor`` colors. With
     ``floor`` a valid lower bound that changes nothing: the best coloring is
-    replaced only by one with strictly fewer colors, and none exists.
+    replaced only by one with strictly fewer colors, and none exists. A
+    ``floor`` of the node count runs the first pass alone, which is all that
+    ``exact_chromatic_index`` needs when its hint meets the lower bound.
     """
     m = len(incidence)
     degree = _degrees(incidence, cliques)
@@ -125,25 +126,48 @@ def _greedy_clique(incidence: Rows, cliques: Rows) -> list[int]:
     """A maximal clique grown greedily from the best seed vertex.
 
     Neighborhoods are int bitmasks, each the OR of the node's vertex cliques
-    without the node itself. A step adds the candidate with the most
-    neighbors among the candidates, the lowest index on ties.
+    without the node itself. Each is built when the growth first reads it,
+    so K_n vertices get one mask each but most nodes of a large instance
+    none. A step adds the candidate with the most neighbors among the
+    candidates, the lowest index on ties. Seeds go by degree, the neighbor
+    count. A scan stops at a candidate that meets every other one, and a
+    seed stops once it cannot beat the best clique; neither changes the
+    result.
     """
     m = len(incidence)
-    neighbors, _ = _meetings(cliques, m)
+    through = [0] * len(cliques)  # bit v set when node v lies in clique x
+    for x, members in enumerate(cliques):
+        for v in members:
+            through[x] |= 1 << v
+    neighbors = [0] * m  # 0 until first read; a candidate's mask is never 0
     best: list[int] = []
-    degree_order = sorted(range(m), key=lambda i: (-neighbors[i].bit_count(), i))
+    degree = _degrees(incidence, cliques)
+    degree_order = sorted(range(m), key=lambda i: (-degree[i], i))
     for seed in degree_order[: min(m, 8)]:
         clique = [seed]
-        common = neighbors[seed]
+        common = 0
+        for x in incidence[seed]:
+            common |= through[x]
+        common ^= 1 << seed
         while common:
+            size = common.bit_count()
+            if len(clique) + size <= len(best):
+                break
             nxt, most = -1, -1
             rest = common
             while rest:
                 low = rest & -rest
                 v = low.bit_length() - 1
-                count = (neighbors[v] & common).bit_count()
+                mask = neighbors[v]
+                if not mask:
+                    for x in incidence[v]:
+                        mask |= through[x]
+                    mask = neighbors[v] = mask ^ low
+                count = (mask & common).bit_count()
                 if count > most:
                     nxt, most = v, count
+                    if most == size - 1:
+                        break
                 rest ^= low
             clique.append(nxt)
             common &= neighbors[nxt]
@@ -176,7 +200,8 @@ def _exact_color_graph(
     upper = len(set(upper_witness))
     degree = _degrees(incidence, cliques)
     used = [0] * len(cliques)
-    colors = [-1] * m  # -1 while uncolored, so max(colors) is the top color used
+    colors = [-1] * m  # -1 while uncolored
+    tops = [-1]  # the top color used after each placement, popped on unplace
 
     def moves() -> list[tuple[int, int]]:
         # the uncolored node of highest (saturation, degree), lowest index on
@@ -191,12 +216,13 @@ def _exact_color_graph(
             score = taken.bit_count() * m + degree[v]
             if score > best_score:
                 best_v, best_score, forbidden = v, score, taken
-        limit = min(max(colors) + 1, k - 1)
+        limit = min(tops[-1] + 1, k - 1)
         return [(best_v, c) for c in range(limit + 1) if not forbidden >> c & 1]
 
     def place(move: tuple[int, int]) -> bool:
         v, c = move
         colors[v] = c
+        tops.append(max(tops[-1], c))
         for x in incidence[v]:
             used[x] |= 1 << c
         return True
@@ -204,6 +230,7 @@ def _exact_color_graph(
     def unplace(move: tuple[int, int]) -> None:
         v, c = move
         colors[v] = -1
+        tops.pop()
         for x in incidence[v]:
             used[x] &= ~(1 << c)
 
@@ -244,8 +271,11 @@ def exact_chromatic_index(
     such as the n-coloring of an arithmetic certificate. It must have one
     entry per element and pass ``check_proper``, else ValueError. It
     replaces the greedy witness only when it uses strictly fewer colors,
-    renumbered 0..k-1 in order of first appearance; otherwise the result is
-    the unhinted one.
+    renumbered 0..k-1 in order of first appearance. A hint that meets the
+    lower bound costs one greedy pass instead of all the rounds, since no
+    round can beat it: it wins unless that first pass ties it, and chi is
+    then decided with no search. A hint above the lower bound leaves the
+    result the unhinted one.
     ``sweep`` and the tests that check chi <= n call this without a hint, so
     that check stays independent of the construction it checks.
     """
@@ -261,7 +291,11 @@ def exact_chromatic_index(
     incidence = [e.vertices for e in d.elements]
     cliques = intersection_graph(d)
     lower = _lower_bound(incidence, cliques)
-    upper_witness = _iterated_greedy(incidence, cliques, floor=lower)
+    # greedy can at best tie a hint that meets the lower bound: one pass does
+    meets = upper_hint is not None and len(set(upper_hint)) <= lower
+    upper_witness = _iterated_greedy(
+        incidence, cliques, floor=len(incidence) if meets else lower
+    )
     if upper_hint is not None and len(set(upper_hint)) < len(set(upper_witness)):
         upper_witness = upper_hint
     chi, witness, nodes = _exact_color_graph(

@@ -27,8 +27,10 @@ from eflcolor import (
     trivial_edges,
     validate_decomposition,
 )
+from eflcolor import oracle
 from eflcolor.model import intersection_graph
 from eflcolor.oracle import (
+    ExactResult,
     _degrees,
     _greedy_clique,
     _greedy_on_order,
@@ -170,7 +172,10 @@ def exact_outcome(d, hint):
 class TestExactParity:
     """Pins of the exact colorer, recorded before its greedy and DSATUR passes
     moved from neighbor sets to per-clique color masks: unhinted, and hinted
-    with the certificate coloring where the given labels have one."""
+    with the certificate coloring where the given labels have one. The
+    hinted witnesses of trivial_edges 5, 9 and 11 were re-recorded when a
+    hint at the lower bound came to skip the greedy rounds: a later round
+    used to tie the hint, and now the renumbered hint is the witness."""
 
     @pytest.mark.parametrize("name, make", parity_instances())
     def test_pinned(self, name, make):
@@ -231,6 +236,20 @@ def fixtures_and_random(n_max, seeds):
     ]
 
 
+@pytest.fixture
+def greedy_passes(monkeypatch):
+    """One entry for each greedy pass the test makes."""
+    passes = []
+    greedy_on_order = oracle._greedy_on_order
+
+    def counted(*args):
+        passes.append(1)
+        return greedy_on_order(*args)
+
+    monkeypatch.setattr(oracle, "_greedy_on_order", counted)
+    return passes
+
+
 class TestUpperHint:
     def test_improper_hint_rejected(self):
         d = fixture("paper_k9")
@@ -246,11 +265,23 @@ class TestUpperHint:
 
     @pytest.mark.parametrize("d", fixtures_and_random(20, 2))
     def test_hint_not_better_changes_nothing(self, d):
+        # A hint above the lower bound, or one the first greedy pass ties,
+        # changes nothing. A hint that meets the bound skips the greedy
+        # rounds, so otherwise it is the witness, renumbered, with no search.
         unhinted = exact_chromatic_index(d)
-        greedy = _iterated_greedy(*graph(d))
+        incidence, cliques = graph(d)
+        lower = _lower_bound(incidence, cliques)
+        first_pass = _iterated_greedy(incidence, cliques, floor=len(incidence))
+        greedy = _iterated_greedy(incidence, cliques)
         worse = tuple(range(len(d.elements)))  # one color per element
         for hint in (greedy, [c + 7 for c in greedy], unhinted.witness, worse):
-            assert exact_chromatic_index(d, upper_hint=hint) == unhinted
+            if len(set(hint)) > lower or len(set(first_pass)) == lower:
+                expected = unhinted
+            else:
+                first_seen = list(dict.fromkeys(hint))
+                renumbered = tuple(first_seen.index(c) for c in hint)
+                expected = ExactResult(unhinted.chi, renumbered, 0)
+            assert exact_chromatic_index(d, upper_hint=hint) == expected
 
     def test_certificate_coloring_decides_odd_trivial_edges(self):
         d = trivial_edges(13)  # unhinted, this runs out of budget
@@ -259,6 +290,21 @@ class TestUpperHint:
         assert (result.chi, result.nodes_explored) == (13, 0)
         first_seen = list(dict.fromkeys(coloring))
         assert result.witness == tuple(first_seen.index(c) for c in coloring)
+
+    @pytest.mark.parametrize(
+        "name, passes",
+        [("trivial_edges_13", 1), ("trivial_edges_17", 1), ("trivial_edges_21", 1), ("paper_k9", 81)],
+    )
+    def test_hint_at_the_lower_bound_costs_one_greedy_pass(self, name, passes, greedy_passes):
+        # the certificate colors odd trivial_edges(n) with the lower bound n;
+        # paper_k9's uses 9 colors against a bound of 6, so all rounds run
+        if name == "paper_k9":
+            d = fixture(name)
+        else:
+            d = trivial_edges(int(name.rsplit("_", 1)[1]))
+        coloring = color_decomposition(d, find_certificate(d)).coloring
+        exact_chromatic_index(d, budget=2000, upper_hint=coloring)
+        assert len(greedy_passes) == passes
 
 
 class TestGreedyFloor:
