@@ -292,16 +292,13 @@ class TestUpperHint:
         assert result.witness == tuple(first_seen.index(c) for c in coloring)
 
     @pytest.mark.parametrize(
-        "name, passes",
-        [("trivial_edges_13", 1), ("trivial_edges_17", 1), ("trivial_edges_21", 1), ("paper_k9", 81)],
+        "d, passes",
+        [pytest.param(trivial_edges(n), 1, id=f"trivial_edges_{n}") for n in (13, 17, 21)]
+        + [pytest.param(fixture("paper_k9"), 81, id="paper_k9")],
     )
-    def test_hint_at_the_lower_bound_costs_one_greedy_pass(self, name, passes, greedy_passes):
+    def test_hint_at_the_lower_bound_costs_one_greedy_pass(self, d, passes, greedy_passes):
         # the certificate colors odd trivial_edges(n) with the lower bound n;
         # paper_k9's uses 9 colors against a bound of 6, so all rounds run
-        if name == "paper_k9":
-            d = fixture(name)
-        else:
-            d = trivial_edges(int(name.rsplit("_", 1)[1]))
         coloring = color_decomposition(d, find_certificate(d)).coloring
         exact_chromatic_index(d, budget=2000, upper_hint=coloring)
         assert len(greedy_passes) == passes
