@@ -273,9 +273,9 @@ def exact_chromatic_index(
     replaces the greedy witness only when it uses strictly fewer colors,
     renumbered 0..k-1 in order of first appearance. A hint that meets the
     lower bound costs one greedy pass instead of all the rounds, since no
-    round can beat it: it wins unless that first pass ties it, and chi is
-    then decided with no search. A hint above the lower bound leaves the
-    result the unhinted one.
+    round can beat it: it wins unless that first pass ties it, and either
+    way chi is decided with no search. A hint above the lower bound leaves
+    the greedy rounds as they run without one.
     ``sweep`` and the tests that check chi <= n call this without a hint, so
     that check stays independent of the construction it checks.
     """
