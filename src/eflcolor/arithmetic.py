@@ -280,9 +280,7 @@ def element_options(vertices: Iterable[int], n: int) -> tuple[ElementCertificate
 
 
 @lru_cache(maxsize=256)
-def _option_table(
-    size: int, n: int
-) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+def _option_table(size: int, n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """The option sets of ``size`` labels of Z_n that hold label 0, as bits.
 
     An option set is a label set with ``element_options``: one
@@ -296,14 +294,14 @@ def _option_table(
     not meet it. A set that comes up more than once (one window under
     several steps, or two touching halves, which form one window) is kept
     once, with the centrals of every listing, so repeats change nothing.
-    Set i is bit i. Returns ``(every, contains, lacks, centrals)``:
-    ``every`` has a bit per set, ``contains[y]`` the sets holding label y
-    and ``lacks[y]`` the others, and for an odd size ``centrals[c]`` the
+    Set i is bit i. Returns ``(every, contains, centrals)``: ``every`` has
+    a bit per set, ``contains[y]`` the sets holding label y (so
+    ``~contains[y]`` the others), and for an odd size ``centrals[c]`` the
     sets with a single progression centred on c (empty for an even size).
     The sets holding label x are these shifted by x, so ``contains[y - x]``
     and ``centrals[c - x]`` answer for them.
     """
-    found: dict[int, list[int]] = {}  # set -> its centrals
+    found: dict[int, list[int] | tuple[()]] = {}  # set -> its centrals
     half = 0 if size % 2 else size // 2
     full = (1 << n) - 1
     for step in range(1, n // 2 + 1):
@@ -311,7 +309,8 @@ def _option_table(
         if size <= cycle:  # the window with 0 as its term j
             singles = _windows(size, step, n)
             for j in range(size):
-                centrals = found.setdefault(singles >> n - (-j * step % n) & full, [])
+                w = singles >> n - (-j * step % n) & full
+                centrals = found.setdefault(w, () if half else [])
                 if not half:
                     centrals.append((size // 2 - j) * step % n)
         if 0 < half <= cycle:
@@ -321,15 +320,17 @@ def _option_table(
                 first = halves[-j * step % n]
                 for w in halves:
                     if not first & w:
-                        found.setdefault(first | w, [])
-    rows = [format(mask, f"0{n}b") for mask in found]  # label n - 1 first
-    contains = tuple(int("".join(reversed(col)), 2) for col in zip(*rows))[::-1]
-    every = (1 << len(rows)) - 1
+                        found.setdefault(first | w, ())
+    rows = bytearray()  # set i's labels n - 1 .. 0 at i * n .. i * n + n - 1
+    for mask in found:
+        rows += format(mask, f"0{n}b").encode()
+    # label y's column, last set first; base 2 has no int-string digit limit
+    contains = tuple(int(rows[len(rows) - 1 - y :: -n], 2) for y in range(n))
     centrals = [0] * n if not half else []
     for i, cs in enumerate(found.values()):
         for c in cs:
             centrals[c] |= 1 << i
-    return every, contains, tuple(every ^ c for c in contains), tuple(centrals)
+    return (1 << len(found)) - 1, contains, tuple(centrals)
 
 
 def _augment(
@@ -342,15 +343,17 @@ def _augment(
     every list (Hall's theorem), grown by Kuhn's augmenting paths.
     ``domain(j)`` is list j's members as an int bitmask (member c is bit
     c), ``holder`` maps each taken member to its list and ``held[j]`` is
-    list j's member, -1 while it has none. List i takes a free member, or
-    frees a taken one by moving its holder along an alternating path, found
-    depth first, members in ascending order, on an explicit stack. With
-    every other matched list covered, such a path exists iff the lists with
-    i still have distinct representatives (Berge); when none exists the
-    matching is left as it was and False is returned. A path enters a list
-    only through the member it holds, which the path has then already
-    visited, so a list narrowed to that one member is never moved.
+    list j's member, -1 while it has none. List i lets go of its member, if
+    any, and takes a free one, or frees a taken one by moving its holder
+    along an alternating path, found depth first, members in ascending
+    order, on an explicit stack. With every other matched list covered, such
+    a path exists iff the lists with i still have distinct representatives
+    (Berge); when none exists, the matching and i's member stay as they were
+    and False is returned. A path enters a list only through the member it
+    holds, which the path has then visited: a list narrowed to it never moves.
     """
+    mine = held[i]
+    holder.pop(mine, None)  # mine is -1 if list i holds no member
     visited = 0  # the members some path has entered
     stack = [(i, domain(i))]
     taken: list[int] = []  # the member each list on the stack is moving to
@@ -372,6 +375,8 @@ def _augment(
                 held[k] = m
             return True
         stack.append((j, domain(j)))
+    if mine >= 0:
+        holder[mine] = i
     return False
 
 
@@ -448,12 +453,11 @@ def find_certificate(d: CliqueDecomposition) -> ArithmeticCertificate | None:
             return None
     for pos, idx in enumerate(odd_indices):
         for option in per_odd[idx]:  # reaches the central held at the latest
-            c, mine = option.central, held[pos]
-            if c != mine and centrals[pos] >> c & 1:  # earlier, not tried yet
-                del holder[mine]
+            c = option.central
+            if c != held[pos] and centrals[pos] >> c & 1:  # earlier, not tried yet
                 left, centrals[pos] = centrals[pos], 1 << c
                 if not _augment(pos, domain, holder, held):
-                    holder[mine], centrals[pos] = pos, left ^ 1 << c
+                    centrals[pos] = left ^ 1 << c
             if held[pos] == c:
                 break
         centrals[pos] = 1 << held[pos]  # fixed: no later path can move it
@@ -601,22 +605,22 @@ def search_labeling(
     position = {v: i for i, v in enumerate(var_order)}
 
     # The checked elements, numbered by slot, and what each depth does to
-    # them: joins (first label placed), narrow by the label placed (through
-    # the vertex: keep the options with it; elsewhere, still open: drop them).
+    # them: joins (first label placed), narrow by the label placed, with a flip
+    # (through the vertex, 0: keep the options with it; open elsewhere, -1: drop).
     joins: list[list[int]] = [[] for _ in range(n)]
     narrow: list[list[tuple]] = [[] for _ in range(n)]
-    tables = []  # per element: (every, lacks, centrals, memo)
+    tables = []  # per element: (every, contains, centrals, memo)
     memos: dict[int, dict[int, int]] = {}  # one per size, see domain
     for elem in indexed:
         if len(elem) < 3:
             continue
         s = len(tables)
-        every, contains, lacks, centrals = _option_table(len(elem), n)
-        tables.append((every, lacks, centrals, memos.setdefault(len(elem), {})))
+        every, contains, centrals = _option_table(len(elem), n)
+        tables.append((every, contains, centrals, memos.setdefault(len(elem), {})))
         depths = sorted(position[v] for v in elem)
         joins[depths[0]].append(s)
         for k in range(depths[0] + 1, depths[-1] + 1):
-            narrow[k].append((s, contains if k in depths else lacks, centrals))
+            narrow[k].append((s, contains, 0 if k in depths else -1, centrals))
 
     labels: list[int] = []  # the label placed at each depth so far
     anchor = [0] * len(tables)  # each element's first label
@@ -661,17 +665,17 @@ def search_labeling(
         # narrow the options for label lab at depth, in place, and rematch;
         # False when an element has no option or the centrals do not match
         moved = []  # odd elements to (re)match
-        for s, sets, centrals in narrow[depth]:
-            left = alive[s] & sets[lab - anchor[s]]
+        for s, contains, flip, centrals in narrow[depth]:
+            left = alive[s] & (contains[lab - anchor[s]] ^ flip)
             if not left:
                 return False
             alive[s] = left
             if centrals and not left & centrals[held[s] - anchor[s]]:
                 moved.append(s)
         for s in joins[depth]:
-            every, lacks, centrals, _ = tables[s]
+            every, contains, centrals, _ = tables[s]
             for y in labels:
-                every &= lacks[y - lab]
+                every &= ~contains[y - lab]
             if not every:
                 return False
             anchor[s] = lab
@@ -679,11 +683,7 @@ def search_labeling(
             if centrals:
                 moved.append(s)
         for s in moved:
-            old = held[s]
-            holder.pop(old, None)  # old is -1 if s joins here
             if not _augment(s, domain, holder, held):
-                if old >= 0:
-                    holder[old] = s
                 return False
         return True
 

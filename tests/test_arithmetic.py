@@ -776,6 +776,20 @@ class TestDistinctRepresentatives:
         assert arithmetic._augment(1, domains.__getitem__, holder, held)
         assert held == [1, 3]
 
+    def test_held_list_lets_go_of_its_member(self):
+        # list 0 holds 1 and moves to 2 once 1 leaves its members; it keeps 2
+        # when it may take only 3, which list 1 holds and cannot leave
+        domains = [members_mask([1, 2]), members_mask([3])]
+        holder, held = {}, [-1, -1]
+        assert arithmetic._augment(0, domains.__getitem__, holder, held)
+        assert arithmetic._augment(1, domains.__getitem__, holder, held)
+        domains[0] = members_mask([2])
+        assert arithmetic._augment(0, domains.__getitem__, holder, held)
+        assert (holder, held) == ({2: 0, 3: 1}, [2, 3])
+        domains[0] = members_mask([3])
+        assert not arithmetic._augment(0, domains.__getitem__, holder, held)
+        assert (holder, held) == ({2: 0, 3: 1}, [2, 3])
+
     def test_empty_list_has_no_representative(self):
         assert match_in_turn([]) == []
         assert match_in_turn([[1], []]) is None
@@ -972,10 +986,10 @@ def options_left(n, size, placed, used, anchor):
     vertices whose labels are ``placed`` (``anchor`` among them) when the
     labels ``used`` are taken: the option sets left, as bits of
     ``_option_table``, and their centrals."""
-    every, contains, lacks, centrals = arithmetic._option_table(size, n)
+    every, contains, centrals = arithmetic._option_table(size, n)
     alive = every
     for y in used:
-        alive &= (contains if y in placed else lacks)[y - anchor]
+        alive &= contains[y - anchor] if y in placed else ~contains[y - anchor]
     return alive, {(c + anchor) % n for c, sets in enumerate(centrals) if alive & sets}
 
 
@@ -990,7 +1004,7 @@ class TestForwardCheck:
     def test_table_is_every_option_set_through_zero(self):
         for n in range(3, 13):
             for size in range(3, n + 1):
-                every, contains, lacks, centrals = arithmetic._option_table(size, n)
+                every, contains, centrals = arithmetic._option_table(size, n)
                 assert every & (every + 1) == 0  # one bit per set, 0 up
                 sets = [
                     frozenset(y for y in range(n) if contains[y] >> i & 1)
@@ -1009,7 +1023,27 @@ class TestForwardCheck:
                         assert mine == {o.central for o in expected[s]}, (n, s)
                 else:
                     assert centrals == ()
-                assert lacks == tuple(every ^ contains[y] for y in range(n))
+
+    # (size, n): the number of sets and the first 16 hex digits of a sha256
+    # of contains and centrals in hex, recorded when the tables were built by
+    # transposing one string per set. The brute-force check above stops at
+    # n = 12; these reach 13,620 sets and n = 100, so they check the columns
+    # read at stride n
+    TABLE_PINS = {
+        (4, 60): (1653, "541b1a34b960c675"),
+        (5, 61): (150, "4065949ec139d2c7"),
+        (6, 100): (13620, "e4cc4acabdc2b0b1"),
+        (7, 100): (322, "16bb29d4d550661f"),
+        (10, 64): (7910, "1f5f32aa161a8b37"),
+    }
+
+    @pytest.mark.parametrize("size, n", sorted(TABLE_PINS))
+    def test_large_table_pinned(self, size, n):
+        every, contains, centrals = arithmetic._option_table(size, n)
+        count, digest = self.TABLE_PINS[size, n]
+        assert every == (1 << count) - 1
+        blob = " ".join(f"{x:x}" for x in (*contains, *centrals))
+        assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
 
     def test_complete_sets_match_element_options(self):
         checked = 0
